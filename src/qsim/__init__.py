@@ -24,7 +24,7 @@ from .circuit import (
     retarget_cnots,
     validate,
 )
-from .engine import evolve_pure, run
+from .engine import run
 from .errors import (
     CapacityError,
     DeviceError,
@@ -48,7 +48,6 @@ from .noise import (
     amplitude_damping,
     apply_channel,
     dephasing,
-    evolve_noisy,
 )
 from .protocols import (
     BellIndex,
@@ -71,7 +70,6 @@ from .states import (
     apply_1q,
     apply_cnot,
     is_separable,
-    partial_trace_to_1q,
     reduced_density_1q,
     zero_density,
     zero_state,
@@ -121,8 +119,6 @@ __all__ = [
     "decoherence_sweep",
     "default_device",
     "dephasing",
-    "evolve_noisy",
-    "evolve_pure",
     "format_circuit",
     "histogram_json_fields",
     "is_clifford",
@@ -130,7 +126,6 @@ __all__ = [
     "load_device",
     "matrix_of",
     "parse",
-    "partial_trace_to_1q",
     "probabilities",
     "reduced_density_1q",
     "retarget_cnots",

@@ -18,6 +18,7 @@ device-level problems, as data rather than exceptions.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -139,6 +140,10 @@ class DeviceModel:
         for t in self.allowed_cnot_targets:
             if not 0 <= t < self.num_qubits:
                 raise DeviceError(f"allowed cnot target q{t} not on device")
+        if not 0.0 < self.gate_time_tau_s < math.inf:
+            raise DeviceError(
+                f"gate_time_tau_s={self.gate_time_tau_s} must be positive and finite"
+            )
         for i, qn in enumerate(self.qubits):
             for label, rate in (("gamma_relax", qn.gamma_relax),
                                 ("gamma_phase", qn.gamma_phase)):

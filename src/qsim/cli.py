@@ -14,11 +14,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .circuit import Circuit, DeviceModel, default_device, load_device, parse, validate
-from .engine import run
+from .engine import check, run
 from .errors import (
     CapacityError,
     DeviceError,
@@ -40,19 +39,6 @@ DEVICE_ENV_VAR = "QSIM_DEVICE"
 DEFAULT_SHOTS = 8192
 MAX_SWEEP_POINTS = 200
 BAR_WIDTH = 60
-
-
-@dataclass
-class RunRequest:
-    """One simulate invocation, resolved from the command line."""
-
-    circuit: Circuit
-    device: DeviceModel
-    processor: str
-    shots: int
-    seed: int
-    exact: bool
-    fmt: str
 
 
 def _resolve_device(path: Path | None) -> DeviceModel:
@@ -134,43 +120,34 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     circuit = parse(args.circuit.read_text(encoding="utf-8"), name=args.circuit.stem)
     device = _resolve_device(args.device)
-    req = RunRequest(
-        circuit=circuit,
-        device=device,
-        processor=args.processor,
-        shots=args.shots,
-        seed=args.seed,
-        exact=args.probabilities,
-        fmt=args.fmt,
-    )
-    if req.shots < 1:
+    if args.shots < 1:
         sys.stderr.write("error: --shots must be >= 1\n")
         return 2
 
-    # The CNOT-target rule is a hardware constraint: only the real
-    # processor enforces it. The ideal engine still needs structural
-    # validity and something to measure.
-    check_device = device if req.processor == "real" else None
-    violations = validate(circuit, check_device)
-    if violations:
-        sys.stdout.write(_violation_report(circuit, violations))
-        return 1
-
-    state = run(circuit, processor=req.processor, device=device)
     measured = circuit.measured_qubits()
+    if not measured and not circuit.bloch_qubits():
+        # run() evolves a circuit that measures nothing, but there is
+        # nothing to report: refuse it here, with all its findings.
+        sys.stdout.write(_violation_report(circuit, check(circuit, args.processor, device)))
+        return 1
+    try:
+        state = run(circuit, args.processor, device)
+    except ValidationError as exc:
+        sys.stdout.write(_violation_report(circuit, exc.violations))
+        return 1
     probs = probabilities(state, measured) if measured else {}
     hist = None
-    if not req.exact and measured:
-        hist = sample(state, measured, req.shots, req.seed)
+    if not args.probabilities and measured:
+        hist = sample(state, measured, args.shots, args.seed)
     bloch = {
         f"q{q}": bloch_measure(state, q) for q in circuit.bloch_qubits()
     }
 
-    if req.fmt == "json":
+    if args.fmt == "json":
         artifact = {
             "circuit": circuit.name,
             "device": device.name,
-            "processor": req.processor,
+            "processor": args.processor,
             **histogram_json_fields(probs, hist),
         }
         if bloch:
@@ -180,7 +157,7 @@ def cmd_simulate(args) -> int:
                 for key, b in sorted(bloch.items())
             }
         text = json.dumps(artifact, indent=2) + "\n"
-    elif req.fmt == "csv":
+    elif args.fmt == "csv":
         text = _histogram_csv(probs, hist)
     else:
         parts = []
@@ -319,6 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # simulate, teleport and sweep
+        sys.stderr.write("error: --seed must be >= 0\n")
+        return 2
     try:
         return args.func(args)
     except ParseError as exc:

@@ -1,47 +1,42 @@
-"""Circuit execution front door: ideal (statevector) and real (noisy) engines."""
+"""The one instruction interpreter, shared by the ideal and real processors.
+
+Every gate instruction updates the state. The ideal processor evolves a
+statevector and enforces only structural validity; the real processor
+evolves a density matrix, enforces the device, and follows each gate
+with one decoherence slot on every wire (see noise.py). Measurement and
+tomography markers are inert: the returned state is the
+pre-measurement one.
+"""
 
 from __future__ import annotations
 
-from .circuit import Circuit, Cnot, DeviceModel, Gate1, default_device, structural_violations
-from .errors import CapacityError, ValidationError
+from .circuit import (
+    Circuit,
+    Cnot,
+    DeviceModel,
+    Gate1,
+    Violation,
+    ViolationCode,
+    default_device,
+    validate,
+)
+from .errors import ValidationError
 from .gates import matrix_of
-from .noise import NoiseConfig, evolve_noisy
-from .states import MAX_PURE_QUBITS, DensityMatrix, PureState, apply_1q, apply_cnot, zero_state
+from .noise import NoiseConfig, apply_channel
+from .states import DensityMatrix, PureState, apply_1q, apply_cnot, zero_density, zero_state
 
 PROCESSORS = ("ideal", "real")
 
 
-def evolve_pure(circuit: Circuit, initial: PureState | None = None) -> PureState:
-    """Run a circuit on the ideal statevector engine.
+def check(circuit: Circuit, processor: str, device: DeviceModel) -> list[Violation]:
+    """validate() under the processor's rules.
 
-    Returns the pre-measurement state; measurement markers are inert.
-    The ideal engine enforces only structural validity (wire bounds,
-    terminal measurement), not device constraints.
-
-    Args:
-        circuit: instructions to execute.
-        initial: starting state (copied, not mutated); |0...0> if omitted.
+    The CNOT-target rule and the chip size are hardware constraints, so
+    only the real processor checks the circuit against `device`.
     """
-    problems = structural_violations(circuit)
-    if problems:
-        raise ValidationError(problems)
-    n = circuit.num_qubits
-    if n > MAX_PURE_QUBITS:
-        raise CapacityError(f"statevector engine supports at most {MAX_PURE_QUBITS} qubits")
-    if initial is None:
-        state = zero_state(n)
-    else:
-        if initial.num_qubits != n:
-            raise ValueError(
-                f"initial state has {initial.num_qubits} qubits, circuit has {n}"
-            )
-        state = initial.copy()
-    for instr in circuit.instrs:
-        if isinstance(instr, Gate1):
-            apply_1q(state, matrix_of(instr.kind), instr.qubit)
-        elif isinstance(instr, Cnot):
-            apply_cnot(state, instr.control, instr.target)
-    return state
+    if processor not in PROCESSORS:
+        raise ValueError(f"processor must be one of {PROCESSORS}, got {processor!r}")
+    return validate(circuit, device if processor == "real" else None)
 
 
 def run(
@@ -49,15 +44,50 @@ def run(
     processor: str = "ideal",
     device: DeviceModel | None = None,
     noise: NoiseConfig | None = None,
+    initial: PureState | DensityMatrix | None = None,
 ) -> PureState | DensityMatrix:
     """Execute a circuit on the chosen processor.
 
-    "ideal" evolves a pure state with no device constraints; "real"
-    validates against the device (defaulting to the packaged one) and
-    evolves a density matrix under its noise rates.
+    Rejects circuits with validator findings under check(); a missing
+    measurement alone does not block state evolution.
+
+    Args:
+        circuit: instructions to execute.
+        processor: "ideal" (statevector) or "real" (density matrix).
+        device: constraints and rates of the real processor; the
+            packaged device if omitted. Ignored by the ideal processor.
+        noise: overrides the device rates on the real processor (e.g.
+            enabled=False for the ideal limit).
+        initial: starting state, copied and not mutated; a PureState on
+            the ideal processor, a DensityMatrix on the real one.
+            |0...0> if omitted.
     """
-    if processor == "ideal":
-        return evolve_pure(circuit)
-    if processor == "real":
-        return evolve_noisy(circuit, device or default_device(), config=noise)
-    raise ValueError(f"processor must be one of {PROCESSORS}, got {processor!r}")
+    real = processor == "real"
+    if real and device is None:
+        device = default_device()
+    problems = [
+        v for v in check(circuit, processor, device)
+        if v.code is not ViolationCode.NO_MEASUREMENT
+    ]
+    if problems:
+        raise ValidationError(problems)
+    n = circuit.num_qubits
+    if initial is None:
+        state = zero_density(n) if real else zero_state(n)
+    else:
+        kind = DensityMatrix if real else PureState
+        if not isinstance(initial, kind) or initial.num_qubits != n:
+            raise ValueError(f"initial state must be a {n}-qubit {kind.__name__}")
+        state = initial.copy()
+    slot = (noise or NoiseConfig.from_device(device)).slot_channels(n) if real else []
+
+    for instr in circuit.instrs:
+        if isinstance(instr, Gate1):
+            apply_1q(state, matrix_of(instr.kind), instr.qubit)
+        elif isinstance(instr, Cnot):
+            apply_cnot(state, instr.control, instr.target)
+        else:
+            continue  # measurement markers: no unitary, no slot
+        for q, channel in slot:
+            apply_channel(state, channel, q)
+    return state

@@ -11,6 +11,7 @@ shots, seed) alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,6 +59,8 @@ class BlochVector:
 
 def _measured_indices(state, measured: Sequence[int]) -> list[int]:
     qs = sorted(measured)
+    if not all(isinstance(q, numbers.Integral) for q in qs):
+        raise ValueError(f"measured qubits must be integers, got {qs}")
     if not qs:
         raise ValueError("measured qubit list is empty")
     if len(set(qs)) != len(qs):
@@ -103,6 +106,8 @@ def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
     parallel runs should derive distinct seeds as seed XOR run_index.
     Zero-count keys are omitted.
     """
+    if not isinstance(shots, numbers.Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = probabilities(state, measured)

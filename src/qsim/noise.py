@@ -1,10 +1,11 @@
 """Kraus-channel noise model for the "real processor".
 
-The noisy engine evolves a density matrix and, after every gate
-instruction, applies one decoherence slot to every wire of the register,
-idle wires included: amplitude damping (relaxation toward |0>) plus
-optional dephasing, with per-qubit rates taken from the device model.
-Identity gates therefore act as timed idle slots.
+On the real processor every gate instruction is followed by one
+decoherence slot on every wire of the register, idle wires included:
+amplitude damping (relaxation toward |0>) plus optional dephasing, with
+per-qubit rates taken from the device model. Identity gates therefore
+act as timed idle slots. This module defines the channels and the slot;
+engine.run applies it.
 """
 
 from __future__ import annotations
@@ -14,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, DeviceModel, Gate1, ViolationCode, validate
-from .errors import CapacityError, ValidationError
-from .gates import matrix_of
-from .states import (
-    MAX_DENSITY_QUBITS,
-    DensityMatrix,
-    _apply_mat_density,
-    _check_qubit,
-    apply_cnot,
-    zero_density,
-)
+from .circuit import DeviceModel
+from .errors import DeviceError
+from .states import DensityMatrix, _apply_mat_density, _check_qubit
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -109,64 +102,20 @@ class NoiseConfig:
             enabled=enabled,
         )
 
-    def slot_channels(self, num_qubits: int) -> list[list[KrausChannel]]:
-        """Channels applied to each wire per gate slot (zero-rate ones omitted)."""
+    def slot_channels(self, num_qubits: int) -> list[tuple[int, KrausChannel]]:
+        """(wire, channel) pairs of one gate slot, in application order;
+        zero-rate channels are omitted, and a disabled config has none."""
         if not self.enabled:
-            return [[] for _ in range(num_qubits)]
-        per_wire = []
+            return []
+        covered = min(len(self.gamma_relax), len(self.gamma_phase))
+        if covered < num_qubits:
+            raise DeviceError(
+                f"noise rates cover {covered} qubits, register has {num_qubits}"
+            )
+        slot = []
         for q in range(num_qubits):
-            channels = []
             if self.gamma_relax[q] > 0.0:
-                channels.append(amplitude_damping(self.gamma_relax[q]))
+                slot.append((q, amplitude_damping(self.gamma_relax[q])))
             if self.gamma_phase[q] > 0.0:
-                channels.append(dephasing(self.gamma_phase[q]))
-            per_wire.append(channels)
-        return per_wire
-
-
-def evolve_noisy(
-    circuit: Circuit,
-    device: DeviceModel,
-    config: NoiseConfig | None = None,
-) -> DensityMatrix:
-    """Run a circuit on the noisy density-matrix engine.
-
-    Starts from |0...0><0...0|; each gate instruction applies its unitary
-    followed by one decoherence slot on every wire. Measurement markers
-    carry no slot, and the returned state is the pre-measurement density
-    matrix. Rejects circuits that do not validate on the device (a
-    missing measurement alone does not block state evolution).
-
-    Args:
-        circuit: instructions to execute.
-        device: supplies per-qubit rates and CNOT constraints.
-        config: overrides the device rates (e.g. enabled=False for the
-            ideal limit); defaults to the device's own rates.
-    """
-    problems = [
-        v for v in validate(circuit, device)
-        if v.code is not ViolationCode.NO_MEASUREMENT
-    ]
-    if problems:
-        raise ValidationError(problems)
-    n = circuit.num_qubits
-    if n > MAX_DENSITY_QUBITS:
-        raise CapacityError(
-            f"density engine supports at most {MAX_DENSITY_QUBITS} qubits"
-        )
-    if config is None:
-        config = NoiseConfig.from_device(device)
-    slot = config.slot_channels(n)
-
-    rho = zero_density(n)
-    for instr in circuit.instrs:
-        if isinstance(instr, Gate1):
-            _apply_mat_density(rho.mat, matrix_of(instr.kind), n, instr.qubit)
-        elif isinstance(instr, Cnot):
-            apply_cnot(rho, instr.control, instr.target)
-        else:
-            continue  # measurement markers: no unitary, no slot
-        for q in range(n):
-            for channel in slot[q]:
-                apply_channel(rho, channel, q)
-    return rho
+                slot.append((q, dephasing(self.gamma_phase[q])))
+        return slot

@@ -1,5 +1,6 @@
 """Bell states, the teleportation protocol (algebraic and circuit forms),
-and the identity-gate decoherence sweep.
+and the identity-gate decoherence sweep, both executed by engine.run on
+either processor.
 
 Teleportation layout used throughout: the state to send is prepared on
 wire 0, the entangled resource lives on wires 1 and 2, the sender's
@@ -276,15 +277,16 @@ def decoherence_sweep(
 ) -> SweepResult:
     """Probe one qubit's decay by idling it in superposition.
 
-    For each n in 0..n_max runs [h q; id x n; measure q]: Hadamard puts
-    the wire at the equator, the identity line holds it there for n gate
-    slots, and the final readout records how far the population has
-    drifted back toward |0>. On the ideal engine every point is 0.5/0.5;
-    on the real engine p0 climbs toward 1 at the wire's relaxation rate.
+    Point n is the readout of [h q; id x n; measure q] on wires 0..q:
+    Hadamard puts the wire at the equator, the identity line holds it
+    there for n gate slots, and the readout records how far the
+    population has drifted back toward |0>. The register is evolved
+    once, one idle slot per point, so a sweep costs O(n_max) slots. On
+    the ideal engine every point is 0.5/0.5; on the real engine p0
+    climbs toward 1 at the wire's relaxation rate.
 
     shots=None records exact probabilities; otherwise each point is
-    sampled with its own derived seed (seed XOR n). Points are
-    independent and merged in index order.
+    sampled with its own derived seed (seed XOR n).
     """
     if device is None:
         device = default_device()
@@ -293,13 +295,13 @@ def decoherence_sweep(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
 
+    wires = qubit + 1
+    idle = Circuit(wires, [Gate1(GateKind.ID, qubit)])
+    state = run(Circuit(wires, [Gate1(GateKind.H, qubit)]), processor, device)
     points = []
     for n in range(n_max + 1):
-        instrs = [Gate1(GateKind.H, qubit)]
-        instrs += [Gate1(GateKind.ID, qubit)] * n
-        instrs.append(MeasureZ(qubit))
-        circuit = Circuit(qubit + 1, instrs, name=f"idle-probe-q{qubit}-n{n}")
-        state = run(circuit, processor=processor, device=device)
+        if n:
+            state = run(idle, processor, device, initial=state)
         if shots is None:
             probs = probabilities(state, [qubit])
             p0 = probs.get("0", 0.0)

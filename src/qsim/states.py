@@ -229,17 +229,6 @@ def apply_cnot(state, control: int, target: int):
     return state
 
 
-def partial_trace_to_1q(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Trace out every wire except `keep`, returning a 2x2 density matrix."""
-    n = rho.num_qubits
-    _check_qubit(n, keep)
-    tensor = rho.mat.reshape((2,) * (2 * n))
-    row = list(range(n))
-    col = [n + q if q == keep else q for q in range(n)]
-    # copy: einsum may hand back a view when nothing gets traced (n == 1)
-    return DensityMatrix(1, np.einsum(tensor, row + col).copy())
-
-
 def reduced_density_1q(state, q: int) -> np.ndarray:
     """2x2 reduced density matrix of wire q, for either state kind."""
     if isinstance(state, PureState):
@@ -248,7 +237,13 @@ def reduced_density_1q(state, q: int) -> np.ndarray:
         v = v.reshape(2, -1)
         return v @ v.conj().T
     if isinstance(state, DensityMatrix):
-        return partial_trace_to_1q(state, q).mat
+        n = state.num_qubits
+        _check_qubit(n, q)
+        tensor = state.mat.reshape((2,) * (2 * n))
+        row = list(range(n))
+        col = [n + k if k == q else k for k in range(n)]
+        # copy: einsum may hand back a view when nothing gets traced (n == 1)
+        return np.einsum(tensor, row + col).copy()
     raise TypeError(f"cannot reduce {type(state).__name__}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from qsim.circuit import Circuit, Cnot, Gate1, MeasureZ
-from qsim.gates import GateKind
+from qsim.gates import GateKind, matrix_of
 
 SINGLE_KINDS = tuple(g for g in GateKind if not g.is_two_qubit)
 
@@ -41,6 +41,28 @@ def apply_channel_dense(rho: np.ndarray, kraus_ops, n: int, q: int) -> np.ndarra
         big = lift_1q(k, n, q)
         out += big @ rho @ big.conj().T
     return out
+
+
+def evolve_dense(circuit: Circuit, start: np.ndarray, slot=()) -> np.ndarray:
+    """Run a circuit by dense operators: a statevector `start` evolves as
+    U psi, a density matrix as U rho U† followed, after every gate, by
+    each (wire, Kraus operators) pair of `slot`. Markers are skipped."""
+    n = circuit.num_qubits
+    state = start
+    for instr in circuit.instrs:
+        if isinstance(instr, Gate1):
+            big = lift_1q(matrix_of(instr.kind), n, instr.qubit)
+        elif isinstance(instr, Cnot):
+            big = lift_cnot(n, instr.control, instr.target)
+        else:
+            continue
+        if state.ndim == 1:
+            state = big @ state
+            continue
+        state = big @ state @ big.conj().T
+        for q, ops in slot:
+            state = apply_channel_dense(state, ops, n, q)
+    return state
 
 
 def marginal_brute_force(weights: np.ndarray, n: int, measured: list[int]) -> dict[str, float]:

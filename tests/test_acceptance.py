@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qsim.circuit import default_device, format_circuit, parse, retarget_cnots, validate
-from qsim.engine import evolve_pure
+from qsim.engine import run
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import bloch_measure, probabilities
 from qsim.noise import amplitude_damping, apply_channel, dephasing
@@ -57,7 +57,7 @@ def criterion(label: str, budget_s: float | None = None):
 
 def test_c1_bell_preparation():
     with criterion("C1 bell preparation", budget_s=1.0):
-        state = evolve_pure(parse("qubits 2\nh q0\ncx q0 q1\nmeasure q0\nmeasure q1\n"))
+        state = run(parse("qubits 2\nh q0\ncx q0 q1\nmeasure q0\nmeasure q1\n"))
         probs = probabilities(state, [0, 1])
         assert set(probs) == {"00", "11"}
         assert probs["00"] == pytest.approx(0.5, abs=1e-10)
@@ -84,8 +84,8 @@ def test_c3_teleport_plus_and_sign_blindness():
             assert p == pytest.approx(0.125, abs=1e-10)
         # +/- superpositions are indistinguishable in the computational
         # basis but tomography separates them by the sign of x
-        plus = evolve_pure(parse("qubits 1\nh q0\nmeasure q0\n"))
-        minus = evolve_pure(parse("qubits 1\nx q0\nh q0\nmeasure q0\n"))
+        plus = run(parse("qubits 1\nh q0\nmeasure q0\n"))
+        minus = run(parse("qubits 1\nx q0\nh q0\nmeasure q0\n"))
         assert probabilities(plus, [0]) == pytest.approx(
             probabilities(minus, [0]), abs=1e-12)
         assert bloch_measure(plus, 0).x == pytest.approx(1.0, abs=1e-9)
@@ -118,7 +118,7 @@ def test_c4_correction_completeness():
 
             # circuit route, shared plain pair, all four measured branches
             initial = PureState(3, np.kron(psi, [1, 0, 0, 0]))
-            state = evolve_pure(build_teleport_circuit([]), initial=initial)
+            state = run(build_teleport_circuit([]), initial=initial)
             for m in (0, 1):
                 for n in (0, 1):
                     base = (m << 2) | (n << 1)
@@ -165,8 +165,8 @@ def test_c6_device_constraint_gate():
         rng = np.random.default_rng(102)
         for _ in range(20):
             start = PureState(3, random_pure_vec(rng, 3))
-            before = evolve_pure(bad, initial=start).amps
-            after = evolve_pure(repaired, initial=start).amps
+            before = run(bad, initial=start).amps
+            after = run(repaired, initial=start).amps
             assert phase_insensitive_overlap(before, after) >= 1 - 1e-10
 
 
@@ -225,7 +225,7 @@ def test_c8_invariant_suite():
         for i in range(1000):
             n = int(rng.integers(1, 5))
             circuit = random_circuit(rng, n, int(rng.integers(1, 41)))
-            state = evolve_pure(circuit,
+            state = run(circuit,
                                 initial=PureState(n, random_pure_vec(rng, n)))
             assert abs(state.norm() - 1.0) <= 1e-9
 

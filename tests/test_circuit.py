@@ -19,7 +19,7 @@ from qsim.circuit import (
     retarget_cnots,
     validate,
 )
-from qsim.engine import evolve_pure
+from qsim.engine import run
 from qsim.errors import DeviceError, ParseError, UntranspilableError
 from qsim.gates import GateKind
 from qsim.states import PureState
@@ -156,6 +156,11 @@ class TestDeviceModel:
         with pytest.raises(DeviceError, match="outside"):
             DeviceModel("bad", 1, frozenset(), 1e-6, (QubitNoise(1.5, 0.0),))
 
+    @pytest.mark.parametrize("tau", [-1e-7, 0.0, float("nan"), float("inf")])
+    def test_bad_gate_time_rejected(self, tau):
+        with pytest.raises(DeviceError, match="gate_time_tau_s"):
+            DeviceModel("bad", 1, frozenset(), tau, (QubitNoise(0.0, 0.0),))
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "dev.json"
         path.write_text("{not json")
@@ -257,6 +262,6 @@ class TestRetarget:
             assert validate(rewritten, device) == []
             for _ in range(20):
                 start = PureState(3, random_pure_vec(rng, 3))
-                before = evolve_pure(circuit, initial=start).amps
-                after = evolve_pure(rewritten, initial=start).amps
+                before = run(circuit, initial=start).amps
+                after = run(rewritten, initial=start).amps
                 assert phase_insensitive_overlap(before, after) >= 1 - 1e-10

@@ -200,3 +200,31 @@ class TestSweep:
 
     def test_n_max_cap(self, capsys):
         assert main(["sweep", "--qubit", "0", "--n-max", "201"]) == 2
+
+    def test_bad_gate_time_is_usage_error(self, tmp_path, capsys):
+        dev = tmp_path / "bad.json"
+        dev.write_text(json.dumps({
+            "name": "bad-tau",
+            "num_qubits": 1,
+            "allowed_cnot_targets": [],
+            "gate_time_tau_s": -1e-7,
+            "qubits": [{"gamma_relax": 0.01, "gamma_phase": 0.0}],
+        }))
+        assert main(["sweep", "--qubit", "0", "--n-max", "3",
+                     "--device", str(dev)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gate_time_tau_s" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "CIRCUIT", "--probabilities"],
+    ["teleport", "--state", "one"],
+    ["sweep", "--qubit", "0", "--n-max", "2"],
+])
+def test_negative_seed_is_usage_error(argv, bell_file, capsys):
+    argv = [str(bell_file) if a == "CIRCUIT" else a for a in argv]
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be >= 0\n"

@@ -1,27 +1,32 @@
-"""Engine dispatch and structural gating of the ideal path."""
+"""The interpreter: processor rules, start states, and agreement with
+the dense oracle on both processors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsim.circuit import default_device, parse
-from qsim.engine import evolve_pure, run
+from qsim.circuit import (Circuit, Cnot, DeviceModel, Gate1, MeasureZ, QubitNoise,
+                          default_device, parse)
+from qsim.engine import PROCESSORS, run
 from qsim.errors import CapacityError, ValidationError
+from qsim.noise import amplitude_damping, dephasing
 from qsim.states import DensityMatrix, PureState
 
-from oracles import random_pure_vec
+from oracles import SINGLE_KINDS, evolve_dense, random_density_mat, random_pure_vec
 
 BELL_TEXT = "qubits 2\nh q0\ncx q0 q1\nmeasure q0\nmeasure q1\n"
 
 
 def test_measurement_markers_are_inert():
-    with_meas = evolve_pure(parse(BELL_TEXT))
-    without = evolve_pure(parse("qubits 2\nh q0\ncx q0 q1\n"))
+    with_meas = run(parse(BELL_TEXT))
+    without = run(parse("qubits 2\nh q0\ncx q0 q1\n"))
     np.testing.assert_allclose(with_meas.amps, without.amps, atol=1e-15)
 
 
 def test_gate_after_measure_is_refused():
     with pytest.raises(ValidationError):
-        evolve_pure(parse("qubits 1\nmeasure q0\nx q0\n"))
+        run(parse("qubits 1\nmeasure q0\nx q0\n"))
 
 
 def test_ideal_engine_ignores_device_constraints():
@@ -47,17 +52,19 @@ def test_custom_initial_state_is_not_mutated():
     rng = np.random.default_rng(41)
     vec = random_pure_vec(rng, 2)
     initial = PureState(2, vec.copy())
-    evolve_pure(parse(BELL_TEXT), initial=initial)
+    run(parse(BELL_TEXT), initial=initial)
     np.testing.assert_allclose(initial.amps, vec, atol=0)
 
 
 def test_initial_state_size_must_match():
     with pytest.raises(ValueError, match="initial state"):
-        evolve_pure(parse(BELL_TEXT), initial=PureState(1, np.array([1, 0])))
+        run(parse(BELL_TEXT), initial=PureState(1, np.array([1, 0])))
+    with pytest.raises(ValueError, match="2-qubit DensityMatrix"):
+        run(parse("qubits 2\nh q0\nmeasure q0\n"), "real", initial=PureState(2, np.eye(4)[0]))
 
 
 def test_sixteen_qubit_register_runs():
-    state = evolve_pure(parse("qubits 16\nh q15\nmeasure q15\n"))
+    state = run(parse("qubits 16\nh q15\nmeasure q15\n"))
     assert state.amps.size == 1 << 16
     assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
@@ -70,3 +77,51 @@ def test_density_capacity_cap():
                        tuple(QubitNoise(0.0, 0.0) for _ in range(11)))
     with pytest.raises(CapacityError):
         run(parse(text), processor="real", device=wide)
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+RATES = st.sampled_from([0.0]) | st.floats(0.0, 1.0)
+
+
+def gates_on(n):
+    one = st.builds(Gate1, st.sampled_from(SINGLE_KINDS), st.integers(0, n - 1))
+    if n == 1:
+        return one
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    return one | pair.map(lambda p: Cnot(*p))
+
+
+@st.composite
+def noisy_circuits(draw):
+    """A circuit of up to 4 wires, with measurements last, and one rate
+    pair per wire of an open-target device."""
+    n = draw(st.integers(1, 4))
+    instrs = draw(st.lists(gates_on(n), max_size=12))
+    measured = draw(st.lists(st.integers(0, n - 1), unique=True))
+    rates = draw(st.lists(st.tuples(RATES, RATES), min_size=n, max_size=n))
+    device = DeviceModel("open", n, frozenset(range(n)), 1e-7,
+                         tuple(QubitNoise(g, lam) for g, lam in rates))
+    return Circuit(n, instrs + [MeasureZ(q) for q in sorted(measured)]), device
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+@PROPERTY_SETTINGS
+@given(case=noisy_circuits(), seed=st.none() | st.integers(0, 2**32 - 1))
+def test_run_matches_dense_oracle(processor, case, seed):
+    circuit, device = case
+    n = circuit.num_qubits
+    rng = np.random.default_rng(seed)
+    ground = np.eye(1 << n, dtype=complex)[0]
+    if processor == "ideal":
+        start = ground if seed is None else random_pure_vec(rng, n)
+        initial = None if seed is None else PureState(n, start.copy())
+        slot = ()
+    else:
+        start = np.outer(ground, ground) if seed is None else random_density_mat(rng, n)
+        initial = None if seed is None else DensityMatrix(n, start.copy())
+        slot = [(q, ch.ops) for q, rate in enumerate(device.qubits)
+                for ch in (amplitude_damping(rate.gamma_relax), dephasing(rate.gamma_phase))]
+    got = run(circuit, processor, device, initial=initial)
+    expected = evolve_dense(circuit, start, slot)
+    np.testing.assert_allclose(got.amps if processor == "ideal" else got.mat,
+                               expected, rtol=0, atol=1e-12)

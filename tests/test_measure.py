@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qsim.engine import evolve_pure
+from qsim.engine import run
 from qsim.circuit import parse
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import (
@@ -87,6 +87,11 @@ class TestProbabilities:
             probabilities(s, [0, 0])
         with pytest.raises(ValueError, match="out of range"):
             probabilities(s, [2])
+        with pytest.raises(ValueError, match="integers"):
+            probabilities(s, [0.0])
+        with pytest.raises(ValueError, match="integers"):
+            sample(s, [1.0], 16, seed=0)
+        assert probabilities(s, [np.int64(0)]) == pytest.approx({"0": 0.5, "1": 0.5})
 
     def test_key_order_is_ascending_qubit_index(self):
         # |01>: q0=0, q1=1 -> key "01" regardless of the order passed in
@@ -140,6 +145,9 @@ class TestSample:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):
             sample(plus_state(), [0], 0, seed=0)
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sample(plus_state(), [0], 10.5, seed=0)
+        assert sample(plus_state(), [0], np.int64(10), seed=0).shots == 10
 
     def test_histogram_json_schema(self):
         state = bell_state_2q()
@@ -206,5 +214,5 @@ class TestBlochMeasure:
         assert b.z / b.purity_norm == pytest.approx(math.cos(b.theta), abs=1e-12)
 
     def test_works_through_the_engine(self):
-        state = evolve_pure(parse("qubits 2\nh q0\nbloch q0\nmeasure q1\n"))
+        state = run(parse("qubits 2\nh q0\nbloch q0\nmeasure q1\n"))
         assert bloch_measure(state, 0).x == pytest.approx(1.0, abs=1e-9)

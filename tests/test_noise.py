@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qsim.circuit import Circuit, DeviceModel, Gate1, MeasureZ, QubitNoise, parse
-from qsim.engine import evolve_pure
-from qsim.errors import ValidationError
+from qsim.engine import run
+from qsim.errors import DeviceError, ValidationError
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import probabilities
 from qsim.noise import (
@@ -14,7 +14,6 @@ from qsim.noise import (
     amplitude_damping,
     apply_channel,
     dephasing,
-    evolve_noisy,
 )
 from qsim.states import DensityMatrix, apply_1q, apply_cnot, zero_density, zero_state
 
@@ -123,17 +122,17 @@ class TestEvolveNoisy:
         device = toy_device([0.0, 0.0], targets=(0, 1))
         text = "qubits 2\nh q0\ncx q0 q1\nt q1\nmeasure q0\nmeasure q1\n"
         circuit = parse(text)
-        rho = evolve_noisy(circuit, device)
-        psi = evolve_pure(circuit)
+        rho = run(circuit, "real", device)
+        psi = run(circuit)
         np.testing.assert_allclose(
             rho.mat, np.outer(psi.amps, psi.amps.conj()), atol=1e-10)
 
     def test_disabled_config_matches_pure_projector(self):
         device = toy_device([0.2, 0.3], targets=(0, 1))
         circuit = parse("qubits 2\nh q0\ncx q0 q1\nmeasure q0\nmeasure q1\n")
-        rho = evolve_noisy(circuit, device,
-                           config=NoiseConfig.from_device(device, enabled=False))
-        psi = evolve_pure(circuit)
+        rho = run(circuit, "real", device,
+                  noise=NoiseConfig.from_device(device, enabled=False))
+        psi = run(circuit)
         np.testing.assert_allclose(
             rho.mat, np.outer(psi.amps, psi.amps.conj()), atol=1e-10)
 
@@ -145,7 +144,7 @@ class TestEvolveNoisy:
         device = toy_device([gamma])
         instrs = [Gate1(GateKind.H, 0)] + [Gate1(GateKind.ID, 0)] * n_idles
         circuit = Circuit(1, instrs + [MeasureZ(0)])
-        rho = evolve_noisy(circuit, device)
+        rho = run(circuit, "real", device)
         expected_p0 = 1 - (1 - gamma) ** (n_idles + 1) / 2
         assert rho.mat[0, 0].real == pytest.approx(expected_p0, abs=1e-12)
 
@@ -166,7 +165,7 @@ class TestEvolveNoisy:
         last = 0.0
         for n_idles in range(0, 120, 10):
             instrs = [Gate1(GateKind.H, 0)] + [Gate1(GateKind.ID, 0)] * n_idles
-            rho = evolve_noisy(Circuit(1, instrs + [MeasureZ(0)]), device)
+            rho = run(Circuit(1, instrs + [MeasureZ(0)]), "real", device)
             p0 = rho.mat[0, 0].real
             assert p0 > last
             last = p0
@@ -180,7 +179,7 @@ class TestEvolveNoisy:
                             targets=(0, 1, 2))
         for _ in range(10):
             circuit = random_circuit(rng, 3, 60)
-            rho = evolve_noisy(circuit, device)
+            rho = run(circuit, "real", device)
             assert rho.trace() == pytest.approx(1.0, abs=1e-9)
             np.testing.assert_allclose(rho.mat, rho.mat.conj().T, atol=1e-10)
 
@@ -200,12 +199,12 @@ class TestEvolveNoisy:
         device = toy_device([0.0, 0.0, 0.0], targets=(2,))
         circuit = parse("qubits 3\ncx q2 q0\nmeasure q0\n")
         with pytest.raises(ValidationError) as exc:
-            evolve_noisy(circuit, device)
+            run(circuit, "real", device)
         assert any("target" in v.message for v in exc.value.violations)
 
     def test_missing_measurement_does_not_block_state_evolution(self):
         device = toy_device([0.1])
-        rho = evolve_noisy(parse("qubits 1\nh q0\n"), device)
+        rho = run(parse("qubits 1\nh q0\n"), "real", device)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_idle_wires_decohere_too(self):
@@ -217,7 +216,16 @@ class TestEvolveNoisy:
             Gate1(GateKind.ID, 0),
             MeasureZ(1),
         ])
-        rho = evolve_noisy(circuit, device)
+        rho = run(circuit, "real", device)
         probs = probabilities(rho, [1])
         # excited population halves on each of the three slots
         assert probs["1"] == pytest.approx(0.125, abs=1e-12)
+
+    def test_rates_shorter_than_register_are_a_device_error(self):
+        # the device has 2 qubits; wire 2 exists but is never touched
+        device = toy_device([0.1, 0.1], targets=(0, 1))
+        circuit = parse("qubits 3\nh q0\nmeasure q0\n")
+        with pytest.raises(DeviceError, match="cover 2 qubits, register has 3"):
+            run(circuit, "real", device)
+        with pytest.raises(DeviceError, match="cover 1 qubits, register has 2"):
+            NoiseConfig((0.1,), (0.0, 0.0)).slot_channels(2)

@@ -1,12 +1,16 @@
 """Bell states, both teleportation routes, and the idle-decay sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsim.circuit import default_device, validate
-from qsim.engine import evolve_pure
+from qsim.circuit import Circuit, Gate1, MeasureZ, QubitNoise, default_device, validate
+from qsim.engine import PROCESSORS, run
 from qsim.gates import GateKind, matrix_of
-from qsim.measure import probabilities
+from qsim.measure import probabilities, sample
 from qsim.protocols import (
     BellIndex,
     InputState1Q,
@@ -127,7 +131,7 @@ class TestTeleportCircuit:
     def test_empty_prep_sends_ground_state(self):
         # per branch (m, n) the receiver wire holds the inverse fix-up of |0>:
         # |0>, |1>, |0>, |1> -> (|000> + |011> + |100> + |111>)/2
-        state = evolve_pure(build_teleport_circuit([]))
+        state = run(build_teleport_circuit([]))
         expected = np.zeros(8, dtype=complex)
         expected[[0, 3, 4, 7]] = 0.5
         np.testing.assert_allclose(state.amps, expected, atol=1e-10)
@@ -140,7 +144,7 @@ class TestTeleportCircuit:
         for _ in range(25):
             a, b = random_pure_vec(rng, 1)
             initial = PureState(3, np.kron([a, b], [1, 0, 0, 0]))
-            state = evolve_pure(build_teleport_circuit([]), initial=initial)
+            state = run(build_teleport_circuit([]), initial=initial)
             expected = np.zeros(8, dtype=complex)
             for m in (0, 1):
                 for n in (0, 1):
@@ -167,7 +171,7 @@ class TestTeleportCircuit:
         for _ in range(100):
             a, b = random_pure_vec(rng, 1)
             initial = PureState(3, np.kron([a, b], [1, 0, 0, 0]))
-            state = evolve_pure(build_teleport_circuit([]), initial=initial)
+            state = run(build_teleport_circuit([]), initial=initial)
             for m in (0, 1):
                 for n in (0, 1):
                     base = (m << 2) | (n << 1)
@@ -264,3 +268,31 @@ class TestDecoherenceSweep:
     def test_qubit_must_be_on_device(self):
         with pytest.raises(ValueError, match="not on device"):
             decoherence_sweep(7, 3, shots=None)
+
+
+PACKAGED = default_device()
+DEPHASING = dataclasses.replace(
+    PACKAGED, name="dephasing",
+    qubits=tuple(QubitNoise(q.gamma_relax, 0.01) for q in PACKAGED.qubits))
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(qubit=st.integers(0, 4), n_max=st.integers(0, 30),
+       shots=st.none() | st.integers(1, 4096), seed=st.integers(0, 2**32 - 1),
+       device=st.sampled_from([PACKAGED, DEPHASING]))
+def test_sweep_rows_equal_independent_runs(processor, qubit, n_max, shots, seed, device):
+    """One evolved register gives the rows of n_max + 1 separate runs,
+    bit for bit."""
+    expected = []
+    for n in range(n_max + 1):
+        instrs = [Gate1(GateKind.H, qubit)] + [Gate1(GateKind.ID, qubit)] * n
+        state = run(Circuit(qubit + 1, instrs + [MeasureZ(qubit)]), processor, device)
+        if shots is None:
+            probs = probabilities(state, [qubit])
+            expected.append((n, probs.get("0", 0.0), probs.get("1", 0.0)))
+        else:
+            counts = sample(state, [qubit], shots, seed ^ n).counts
+            expected.append((n, counts.get("0", 0) / shots, counts.get("1", 0) / shots))
+    res = decoherence_sweep(qubit, n_max, processor, device, shots, seed)
+    assert res.points == expected
