@@ -46,7 +46,6 @@ from .noise import (
     KrausChannel,
     NoiseConfig,
     amplitude_damping,
-    apply_channel,
     dephasing,
 )
 from .protocols import (
@@ -108,7 +107,6 @@ __all__ = [
     "ViolationCode",
     "amplitude_damping",
     "apply_1q",
-    "apply_channel",
     "apply_cnot",
     "bell_state",
     "bloch_measure",

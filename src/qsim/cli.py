@@ -120,9 +120,6 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     circuit = parse(args.circuit.read_text(encoding="utf-8"), name=args.circuit.stem)
     device = _resolve_device(args.device)
-    if args.shots < 1:
-        sys.stderr.write("error: --shots must be >= 1\n")
-        return 2
 
     measured = circuit.measured_qubits()
     if not measured and not circuit.bloch_qubits():
@@ -298,6 +295,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "seed", 0) < 0:  # simulate, teleport and sweep
         sys.stderr.write("error: --seed must be >= 0\n")
+        return 2
+    if getattr(args, "shots", 1) < 1:  # checked even with --probabilities
+        sys.stderr.write("error: --shots must be >= 1\n")
         return 2
     try:
         return args.func(args)

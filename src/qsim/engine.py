@@ -22,7 +22,7 @@ from .circuit import (
 )
 from .errors import ValidationError
 from .gates import matrix_of
-from .noise import NoiseConfig, apply_channel
+from .noise import NoiseConfig, decohere
 from .states import DensityMatrix, PureState, apply_1q, apply_cnot, zero_density, zero_state
 
 PROCESSORS = ("ideal", "real")
@@ -79,7 +79,7 @@ def run(
         if not isinstance(initial, kind) or initial.num_qubits != n:
             raise ValueError(f"initial state must be a {n}-qubit {kind.__name__}")
         state = initial.copy()
-    slot = (noise or NoiseConfig.from_device(device)).slot_channels(n) if real else []
+    slot = (noise or NoiseConfig.from_device(device)).slot(n) if real else []
 
     for instr in circuit.instrs:
         if isinstance(instr, Gate1):
@@ -88,6 +88,6 @@ def run(
             apply_cnot(state, instr.control, instr.target)
         else:
             continue  # measurement markers: no unitary, no slot
-        for q, channel in slot:
-            apply_channel(state, channel, q)
+        for q, gamma, lam in slot:
+            decohere(state, q, gamma, lam)
     return state

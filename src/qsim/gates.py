@@ -35,8 +35,6 @@ class GateKind(str, Enum):
         return self is GateKind.CNOT
 
 
-SINGLE_QUBIT_GATES = frozenset(g for g in GateKind if not g.is_two_qubit)
-
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 

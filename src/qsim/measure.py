@@ -35,9 +35,6 @@ class Histogram:
     seed: int
     rng: str = RNG_ALGORITHM
 
-    def frequency(self, key: str) -> float:
-        return self.counts.get(key, 0) / self.shots
-
 
 @dataclass(frozen=True)
 class BlochVector:

@@ -1,11 +1,13 @@
-"""Kraus-channel noise model for the "real processor".
+"""The decoherence slot of the "real processor".
 
 On the real processor every gate instruction is followed by one
 decoherence slot on every wire of the register, idle wires included:
 amplitude damping (relaxation toward |0>) plus optional dephasing, with
 per-qubit rates taken from the device model. Identity gates therefore
-act as timed idle slots. This module defines the channels and the slot;
-engine.run applies it.
+act as timed idle slots. `decohere` is the slot on one wire: the
+closed form of both channels, applied in place. `KrausChannel`,
+`amplitude_damping` and `dephasing` define the channels and are the
+test oracle for that closed form. engine.run applies the slot.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .circuit import DeviceModel
 from .errors import DeviceError
-from .states import DensityMatrix, _apply_mat_density, _check_qubit
+from .states import DensityMatrix, _check_qubit
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -36,10 +38,6 @@ class KrausChannel:
             acc += k.conj().T @ k
         if not np.allclose(acc, np.eye(2), atol=COMPLETENESS_ATOL):
             raise ValueError("Kraus operators do not satisfy sum K†K = I")
-
-    @classmethod
-    def identity(cls) -> "KrausChannel":
-        return cls((np.eye(2, dtype=complex),))
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
@@ -69,15 +67,20 @@ def dephasing(lam: float) -> KrausChannel:
     return KrausChannel((k0, k1))
 
 
-def apply_channel(rho: DensityMatrix, channel: KrausChannel, q: int) -> DensityMatrix:
-    """rho <- sum_i K_i rho K_i† on wire q, in place; returns rho."""
-    _check_qubit(rho.num_qubits, q)
-    acc = np.zeros_like(rho.mat)
-    for k in channel.ops:
-        term = rho.mat.copy()
-        _apply_mat_density(term, k, rho.num_qubits, q)
-        acc += term
-    rho.mat[...] = acc
+def decohere(rho: DensityMatrix, q: int, gamma: float, lam: float) -> DensityMatrix:
+    """dephasing(lam) after amplitude_damping(gamma) on wire q, in place;
+    returns rho. The two channels commute. On the row and column bit of
+    wire q: rho00 += gamma rho11, rho11 *= 1-gamma, and rho01, rho10 are
+    scaled by sqrt(1-gamma) (1-2 lam)."""
+    n = rho.num_qubits
+    _check_qubit(n, q)
+    above, below = 1 << q, 1 << (n - 1 - q)
+    m = rho.mat.reshape(above, 2, below, above, 2, below)
+    m[:, 0, :, :, 0] += gamma * m[:, 1, :, :, 1]
+    m[:, 1, :, :, 1] *= 1.0 - gamma
+    coherence = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * lam)
+    m[:, 0, :, :, 1] *= coherence
+    m[:, 1, :, :, 0] *= coherence
     return rho
 
 
@@ -102,9 +105,9 @@ class NoiseConfig:
             enabled=enabled,
         )
 
-    def slot_channels(self, num_qubits: int) -> list[tuple[int, KrausChannel]]:
-        """(wire, channel) pairs of one gate slot, in application order;
-        zero-rate channels are omitted, and a disabled config has none."""
+    def slot(self, num_qubits: int) -> list[tuple[int, float, float]]:
+        """(wire, gamma, lam) of one gate slot, in wire order; wires whose
+        two rates are zero are omitted, and a disabled config has none."""
         if not self.enabled:
             return []
         covered = min(len(self.gamma_relax), len(self.gamma_phase))
@@ -112,10 +115,5 @@ class NoiseConfig:
             raise DeviceError(
                 f"noise rates cover {covered} qubits, register has {num_qubits}"
             )
-        slot = []
-        for q in range(num_qubits):
-            if self.gamma_relax[q] > 0.0:
-                slot.append((q, amplitude_damping(self.gamma_relax[q])))
-            if self.gamma_phase[q] > 0.0:
-                slot.append((q, dephasing(self.gamma_phase[q])))
-        return slot
+        rates = zip(range(num_qubits), self.gamma_relax, self.gamma_phase)
+        return [(q, g, l) for q, g, l in rates if g > 0.0 or l > 0.0]

@@ -16,7 +16,7 @@ from qsim.circuit import default_device, format_circuit, parse, retarget_cnots, 
 from qsim.engine import run
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import bloch_measure, probabilities
-from qsim.noise import amplitude_damping, apply_channel, dephasing
+from qsim.noise import amplitude_damping, decohere, dephasing
 from qsim.protocols import (
     BellIndex,
     InputState1Q,
@@ -204,11 +204,13 @@ def test_c7_oracle_equivalence():
                 got = apply_cnot(DensityMatrix(n, rho.copy()), c, t).mat
             else:  # density, Kraus channel
                 q = int(rng.integers(n))
-                ch = (amplitude_damping(float(rng.random())) if rng.random() < 0.5
-                      else dephasing(float(rng.random())))
+                damp = rng.random() < 0.5
+                rate = float(rng.random())
+                ch = amplitude_damping(rate) if damp else dephasing(rate)
+                rates = (rate, 0.0) if damp else (0.0, rate)
                 rho = random_density_mat(rng, n)
                 expected = apply_channel_dense(rho, ch.ops, n, q)
-                got = apply_channel(DensityMatrix(n, rho.copy()), ch, q).mat
+                got = decohere(DensityMatrix(n, rho.copy()), q, *rates).mat
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 

@@ -228,3 +228,16 @@ def test_negative_seed_is_usage_error(argv, bell_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "CIRCUIT", "--probabilities"],
+    ["teleport", "--state", "one", "--probabilities"],
+    ["sweep", "--qubit", "0", "--n-max", "2", "--probabilities"],
+])
+def test_zero_shots_is_usage_error(argv, bell_file, capsys):
+    argv = [str(bell_file) if a == "CIRCUIT" else a for a in argv]
+    assert main([*argv, "--shots", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --shots must be >= 1\n"

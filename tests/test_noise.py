@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsim.circuit import Circuit, DeviceModel, Gate1, MeasureZ, QubitNoise, parse
 from qsim.engine import run
@@ -12,7 +14,7 @@ from qsim.noise import (
     KrausChannel,
     NoiseConfig,
     amplitude_damping,
-    apply_channel,
+    decohere,
     dephasing,
 )
 from qsim.states import DensityMatrix, apply_1q, apply_cnot, zero_density, zero_state
@@ -20,6 +22,7 @@ from qsim.states import DensityMatrix, apply_1q, apply_cnot, zero_density, zero_
 from oracles import apply_channel_dense, random_density_mat
 
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
+EDGE_RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
 def toy_device(gamma_relax, gamma_phase=None, targets=(), tau=1e-7):
@@ -36,37 +39,36 @@ def toy_device(gamma_relax, gamma_phase=None, targets=(), tau=1e-7):
 
 class TestChannels:
     def test_zero_damping_is_identity(self):
-        ch = amplitude_damping(0.0)
         rho = DensityMatrix(1, PLUS_RHO.copy())
-        apply_channel(rho, ch, 0)
+        decohere(rho, 0, 0.0, 0.0)
         np.testing.assert_allclose(rho.mat, PLUS_RHO, atol=1e-12)
 
     def test_full_damping_relaxes_excited_state(self):
         rho = DensityMatrix(1, np.diag([0.0, 1.0]).astype(complex))
-        apply_channel(rho, amplitude_damping(1.0), 0)
+        decohere(rho, 0, 1.0, 0.0)
         np.testing.assert_allclose(rho.mat, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_partial_damping_on_plus(self):
         # 2x2 oracle: K0 rho K0† + K1 rho K1† computed by hand
         gamma = 0.1
         rho = DensityMatrix(1, PLUS_RHO.copy())
-        apply_channel(rho, amplitude_damping(gamma), 0)
+        decohere(rho, 0, gamma, 0.0)
         assert rho.mat[0, 0].real == pytest.approx(0.55, abs=1e-12)
         assert abs(rho.mat[0, 1]) == pytest.approx(np.sqrt(0.9) / 2, abs=1e-12)
 
     def test_zero_dephasing_is_identity(self):
         rho = DensityMatrix(1, PLUS_RHO.copy())
-        apply_channel(rho, dephasing(0.0), 0)
+        decohere(rho, 0, 0.0, 0.0)
         np.testing.assert_allclose(rho.mat, PLUS_RHO, atol=1e-12)
 
     def test_half_dephasing_kills_coherence(self):
         rho = DensityMatrix(1, PLUS_RHO.copy())
-        apply_channel(rho, dephasing(0.5), 0)
+        decohere(rho, 0, 0.0, 0.5)
         np.testing.assert_allclose(rho.mat, np.eye(2) / 2, atol=1e-12)
 
     def test_quarter_dephasing_scales_coherence(self):
         rho = DensityMatrix(1, PLUS_RHO.copy())
-        apply_channel(rho, dephasing(0.25), 0)
+        decohere(rho, 0, 0.0, 0.25)
         assert rho.mat[0, 1].real == pytest.approx(0.25, abs=1e-12)
         np.testing.assert_allclose(np.diag(rho.mat).real, [0.5, 0.5], atol=1e-12)
 
@@ -97,7 +99,7 @@ class TestApplyChannel:
         ).to_density()
         for q in (0, 1):
             rho = bell.copy()
-            apply_channel(rho, amplitude_damping(0.3), q)
+            decohere(rho, q, 0.3, 0.0)
             assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_kraus_lift(self):
@@ -105,16 +107,33 @@ class TestApplyChannel:
         for _ in range(30):
             n = int(rng.integers(1, 4))
             q = int(rng.integers(n))
-            ch = (amplitude_damping(float(rng.random())) if rng.random() < 0.5
-                  else dephasing(float(rng.random())))
+            damp = rng.random() < 0.5
+            rate = float(rng.random())
+            ch = amplitude_damping(rate) if damp else dephasing(rate)
+            rates = (rate, 0.0) if damp else (0.0, rate)
             rho = random_density_mat(rng, n)
             expected = apply_channel_dense(rho, ch.ops, n, q)
-            got = apply_channel(DensityMatrix(n, rho.copy()), ch, q)
+            got = decohere(DensityMatrix(n, rho.copy()), q, *rates)
             np.testing.assert_allclose(got.mat, expected, atol=1e-12)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(data=st.data(), gamma=EDGE_RATES, lam=EDGE_RATES,
+           seed=st.integers(0, 2**32 - 1))
+    def test_slot_matches_both_dense_channels(self, data, gamma, lam, seed):
+        n = data.draw(st.integers(1, 4), label="n")
+        q = data.draw(st.integers(0, n - 1), label="q")
+        rho = random_density_mat(np.random.default_rng(seed), n)
+        rho = (rho + rho.conj().T) / 2  # exactly Hermitian
+        expected = apply_channel_dense(
+            apply_channel_dense(rho, amplitude_damping(gamma).ops, n, q),
+            dephasing(lam).ops, n, q)
+        got = decohere(DensityMatrix(n, rho.copy()), q, gamma, lam).mat
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+        assert np.array_equal(got, got.conj().T)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_channel(zero_density(1), amplitude_damping(0.1), 1)
+            decohere(zero_density(1), 1, 0.1, 0.0)
 
 
 class TestEvolveNoisy:
@@ -186,10 +205,9 @@ class TestEvolveNoisy:
     def test_damping_fixed_point_is_ground_state(self):
         rng = np.random.default_rng(34)
         rho = DensityMatrix(1, random_density_mat(rng, 1))
-        ch = amplitude_damping(0.2)
         excited = rho.mat[1, 1].real
         for _ in range(150):
-            apply_channel(rho, ch, 0)
+            decohere(rho, 0, 0.2, 0.0)
             assert rho.mat[1, 1].real <= excited + 1e-15
             excited = rho.mat[1, 1].real
         # coherences only shrink by sqrt(1-gamma) per slot, hence the slack
@@ -228,4 +246,4 @@ class TestEvolveNoisy:
         with pytest.raises(DeviceError, match="cover 2 qubits, register has 3"):
             run(circuit, "real", device)
         with pytest.raises(DeviceError, match="cover 1 qubits, register has 2"):
-            NoiseConfig((0.1,), (0.0, 0.0)).slot_channels(2)
+            NoiseConfig((0.1,), (0.0, 0.0)).slot(2)
