@@ -51,7 +51,6 @@ from .noise import (
 from .protocols import (
     BellIndex,
     BranchReport,
-    InputState1Q,
     SweepResult,
     TeleportResult,
     bell_state,
@@ -65,7 +64,6 @@ from .protocols import (
 from .states import (
     DensityMatrix,
     PureState,
-    TwoQubitState,
     apply_1q,
     apply_cnot,
     is_separable,
@@ -90,7 +88,6 @@ __all__ = [
     "Gate1",
     "GateKind",
     "Histogram",
-    "InputState1Q",
     "KrausChannel",
     "MeasureZ",
     "NoiseConfig",
@@ -100,7 +97,6 @@ __all__ = [
     "QubitNoise",
     "SweepResult",
     "TeleportResult",
-    "TwoQubitState",
     "UntranspilableError",
     "ValidationError",
     "Violation",

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, reduced_density_1q
+from .states import DensityMatrix, PureState, _check_qubit, reduced_density_1q
 
 RNG_ALGORITHM = "pcg64"
 
@@ -56,14 +56,12 @@ class BlochVector:
 
 def _measured_indices(state, measured: Sequence[int]) -> list[int]:
     qs = sorted(measured)
-    if not all(isinstance(q, numbers.Integral) for q in qs):
-        raise ValueError(f"measured qubits must be integers, got {qs}")
     if not qs:
         raise ValueError("measured qubit list is empty")
+    for q in qs:
+        _check_qubit(state.num_qubits, q)
     if len(set(qs)) != len(qs):
         raise ValueError("measured qubit list has duplicates")
-    if qs[0] < 0 or qs[-1] >= state.num_qubits:
-        raise ValueError(f"measured qubits {qs} out of range")
     return qs
 
 
@@ -107,6 +105,8 @@ def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     probs = probabilities(state, measured)
     keys = sorted(probs)
     pvec = np.array([probs[k] for k in keys])
@@ -114,7 +114,7 @@ def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
     rng = np.random.default_rng(seed)
     drawn = rng.multinomial(shots, pvec)
     counts = {k: int(c) for k, c in zip(keys, drawn) if c > 0}
-    return Histogram(shots=shots, counts=counts, seed=seed, rng=RNG_ALGORITHM)
+    return Histogram(shots=shots, counts=counts, seed=int(seed), rng=RNG_ALGORITHM)
 
 
 def histogram_json_fields(probs: dict[str, float],

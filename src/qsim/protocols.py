@@ -8,6 +8,7 @@ basis-change-plus-measurement happens on wires 0 and 1, and the receiver
 holds wire 2. A measurement outcome is written "mn" with m the wire-0
 bit and n the wire-1 bit, matching histogram key order; the receiver's
 fix-up for each outcome is an ordered Pauli list, applied left to right.
+Every pure state here, Bell pair or protocol input, is a PureState.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, default_device
 from .engine import run
 from .gates import GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
-from .states import DensityMatrix, PureState, TwoQubitState
+from .states import DensityMatrix, PureState
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -34,7 +35,7 @@ class BellIndex(NamedTuple):
     m: int
 
 
-def bell_state(idx: BellIndex) -> TwoQubitState:
+def bell_state(idx: BellIndex) -> PureState:
     """The maximally entangled two-qubit state with the given labels."""
     n, m = idx
     if n not in (0, 1) or m not in (0, 1):
@@ -42,31 +43,7 @@ def bell_state(idx: BellIndex) -> TwoQubitState:
     vec = np.zeros(4, dtype=complex)
     vec[n] = _SQRT1_2                      # |0 n>
     vec[2 + (1 - n)] = (-1) ** m * _SQRT1_2  # |1 (1-n)>
-    return TwoQubitState.from_vector(vec)
-
-
-@dataclass
-class InputState1Q:
-    """One-qubit state a|0> + b|1> to be sent through the protocol."""
-
-    a: complex
-    b: complex
-
-    def __post_init__(self):
-        norm_sq = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm_sq - 1.0) > 1e-8:
-            raise ValueError(f"|a|^2 + |b|^2 = {norm_sq}, expected 1")
-
-    @classmethod
-    def from_prep(cls, prep: Sequence[GateKind]) -> "InputState1Q":
-        """State produced by running the prep gate list on |0>."""
-        vec = np.array([1.0, 0.0], dtype=complex)
-        for g in prep:
-            vec = matrix_of(g) @ vec
-        return cls(complex(vec[0]), complex(vec[1]))
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.a, self.b], dtype=complex)
+    return PureState(2, vec)
 
 
 def correction_for(channel: BellIndex, outcome: BellIndex) -> tuple[GateKind, ...]:
@@ -86,30 +63,37 @@ def correction_for(channel: BellIndex, outcome: BellIndex) -> tuple[GateKind, ..
     return tuple(correction)
 
 
-def _correction_matrix(correction: Sequence[GateKind]) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
-    for g in correction:
-        m = matrix_of(g) @ m
-    return m
+def _apply_gates(gates: Sequence[GateKind], start: np.ndarray) -> np.ndarray:
+    """Apply the single-qubit gate list, left to right, to a 2-vector or 2x2 matrix."""
+    out = start
+    for g in gates:
+        out = matrix_of(g) @ out
+    return out
 
 
 def teleport_algebraic(
-    input_state: InputState1Q,
+    input_state: PureState,
     channel: BellIndex,
     alice_outcome: BellIndex,
-) -> tuple[InputState1Q, tuple[GateKind, ...]]:
+) -> tuple[PureState, tuple[GateKind, ...]]:
     """One branch of the measurement-based protocol, done by linear algebra.
 
     The sender holds the input qubit and one half of `channel`; a Bell
     measurement on her pair with result `alice_outcome` collapses the
     receiver's qubit. Returns that collapsed state (normalized, phase
     as it falls out of the projection) and the fix-up that restores the
-    input up to a global phase.
+    input up to a global phase. The input must be a normalized one-qubit
+    state.
     """
-    psi = input_state.as_vector()
-    resource = bell_state(channel).as_vector()
+    if input_state.num_qubits != 1:
+        raise ValueError(f"teleport input must be one qubit, got {input_state.num_qubits}")
+    psi = input_state.amps
+    norm_sq = float(np.sum(np.abs(psi) ** 2))
+    if abs(norm_sq - 1.0) > 1e-8:
+        raise ValueError(f"|a|^2 + |b|^2 = {norm_sq}, expected 1")
+    resource = bell_state(channel).amps
     joint = np.kron(psi, resource)  # wires: sender-input, sender-half, receiver
-    proj = bell_state(alice_outcome).as_vector().conj()
+    proj = bell_state(alice_outcome).amps.conj()
     bob = np.zeros(2, dtype=complex)
     for k in range(2):
         bob[k] = proj @ joint[k::2]  # contract the two sender wires
@@ -118,7 +102,7 @@ def teleport_algebraic(
         raise ValueError("branch has zero weight; channel is not entangled")
     bob /= norm
     return (
-        InputState1Q(complex(bob[0]), complex(bob[1])),
+        PureState(1, bob),
         correction_for(channel, alice_outcome),
     )
 
@@ -175,7 +159,7 @@ class BranchReport:
 class TeleportResult:
     circuit: Circuit
     processor: str
-    input_state: InputState1Q
+    input_state: PureState
     probabilities: dict[str, float]  # exact, over all three wires
     histogram: Histogram | None  # None when run in exact mode
     branches: list[BranchReport]
@@ -222,14 +206,14 @@ def run_teleport(
     probs = probabilities(state, [0, 1, 2])
     hist = sample(state, [0, 1, 2], shots, seed) if shots is not None else None
 
-    psi_in = InputState1Q.from_prep(prep).as_vector()
+    psi_in = _apply_gates(prep, np.array([1.0, 0.0], dtype=complex))
     table = circuit_correction_table()
     branches = []
     for m in (0, 1):
         for n in (0, 1):
             outcome = f"{m}{n}"
             correction = table[outcome]
-            fixup = _correction_matrix(correction)
+            fixup = _apply_gates(correction, np.eye(2, dtype=complex))
             if isinstance(state, PureState):
                 weight, vec = _branch_pure(state, m, n)
                 fidelity = float(abs(np.vdot(psi_in, fixup @ vec)))
@@ -241,7 +225,7 @@ def run_teleport(
     return TeleportResult(
         circuit=circuit,
         processor=processor,
-        input_state=InputState1Q(complex(psi_in[0]), complex(psi_in[1])),
+        input_state=PureState(1, psi_in),
         probabilities=probs,
         histogram=hist,
         branches=branches,

@@ -19,7 +19,6 @@ from qsim.measure import bloch_measure, probabilities
 from qsim.noise import amplitude_damping, decohere, dephasing
 from qsim.protocols import (
     BellIndex,
-    InputState1Q,
     build_teleport_circuit,
     circuit_correction_table,
     decoherence_sweep,
@@ -107,11 +106,11 @@ def test_c4_correction_completeness():
             psi = np.array([a, b])
 
             # measurement-based route, shared singlet pair
-            state_in = InputState1Q(complex(a), complex(b))
+            state_in = PureState.from_amplitudes([a, b])
             for outcome in outcomes:
                 bob, correction = teleport_algebraic(state_in, BellIndex(1, 1),
                                                      outcome)
-                fixed = bob.as_vector()
+                fixed = bob.amps
                 for g in correction:
                     fixed = matrix_of(g) @ fixed
                 assert phase_insensitive_overlap(psi, fixed) >= 1 - 1e-10

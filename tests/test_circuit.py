@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsim.circuit import (
     BlochMeasure,
@@ -24,7 +26,10 @@ from qsim.errors import DeviceError, ParseError, UntranspilableError
 from qsim.gates import GateKind
 from qsim.states import PureState
 
-from oracles import phase_insensitive_overlap, random_pure_vec
+from oracles import phase_insensitive_overlap, random_circuit, random_pure_vec
+
+PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
 
 TELEPORT_TEXT = """\
 # teleport a freshly prepared |1>
@@ -119,8 +124,6 @@ class TestFormat:
         assert format_circuit(parse(canonical)) == canonical
 
     def test_parse_format_parse_idempotent_on_generated_circuits(self):
-        from oracles import random_circuit
-
         rng = np.random.default_rng(21)
         for i in range(50):
             c = random_circuit(rng, int(rng.integers(1, 6)), int(rng.integers(0, 25)))
@@ -130,6 +133,12 @@ class TestFormat:
             twice = parse(format_circuit(once))
             assert once == twice
             assert once == c
+
+    @PROPERTY_SETTINGS
+    @given(seed=SEEDS, n=st.integers(1, 16), depth=st.integers(0, 40), measure=st.booleans())
+    def test_parse_inverts_format(self, seed, n, depth, measure):
+        c = random_circuit(np.random.default_rng(seed), n, depth, measure=measure)
+        assert parse(format_circuit(c)) == c
 
 
 class TestDeviceModel:
@@ -265,3 +274,22 @@ class TestRetarget:
                 before = run(circuit, initial=start).amps
                 after = run(rewritten, initial=start).amps
                 assert phase_insensitive_overlap(before, after) >= 1 - 1e-10
+
+    @PROPERTY_SETTINGS
+    @given(seed=SEEDS, n=st.integers(2, 5), depth=st.integers(0, 30),
+           targets=st.integers(1, 2**5 - 1))
+    def test_rewrite_keeps_the_ideal_state(self, seed, n, depth, targets):
+        allowed = frozenset(q for q in range(n) if targets >> q & 1)
+        device = DeviceModel("drawn", n, allowed, 1e-7, (QubitNoise(0.0, 0.0),) * n)
+        rng = np.random.default_rng(seed)
+        circuit = random_circuit(rng, n, depth, cnot_weight=0.4)
+        try:
+            rewritten = retarget_cnots(circuit, device)
+        except UntranspilableError:
+            assert any(isinstance(i, Cnot) and not {i.control, i.target} & allowed
+                       for i in circuit.instrs)
+            return
+        assert validate(rewritten, device) == []
+        start = PureState(n, random_pure_vec(rng, n))
+        np.testing.assert_allclose(run(rewritten, initial=start).amps,
+                                   run(circuit, initial=start).amps, rtol=0, atol=1e-12)

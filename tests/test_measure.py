@@ -1,9 +1,12 @@
 """Born probabilities, shot sampling, and Bloch tomography."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsim.engine import run
 from qsim.circuit import parse
@@ -15,7 +18,7 @@ from qsim.measure import (
     probabilities,
     sample,
 )
-from qsim.states import DensityMatrix, PureState, apply_1q, apply_cnot, zero_state
+from qsim.states import DensityMatrix, PureState, apply_1q, apply_cnot, zero_density, zero_state
 
 from oracles import marginal_brute_force, random_density_mat, random_pure_vec
 
@@ -91,6 +94,10 @@ class TestProbabilities:
             probabilities(s, [0.0])
         with pytest.raises(ValueError, match="integers"):
             sample(s, [1.0], 16, seed=0)
+        with pytest.raises(ValueError, match="integers"):
+            bloch_measure(zero_density(2), 0.0)
+        with pytest.raises(ValueError, match="integers"):
+            bloch_measure(s, 1.0)
         assert probabilities(s, [np.int64(0)]) == pytest.approx({"0": 0.5, "1": 0.5})
 
     def test_key_order_is_ascending_qubit_index(self):
@@ -138,9 +145,11 @@ class TestSample:
             sigma = math.sqrt(p * (1 - p) / shots)
             assert abs(hist.counts.get(key, 0) / shots - p) <= 4 * sigma
 
-    def test_counts_sum_to_shots(self):
-        hist = sample(bell_state_2q(), [0, 1], 12345, seed=3)
-        assert sum(hist.counts.values()) == 12345
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), shots=st.integers(1, 10**6))
+    def test_counts_sum_to_shots(self, seed, shots):
+        hist = sample(bell_state_2q(), [0, 1], shots, seed=seed)
+        assert sum(hist.counts.values()) == shots
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):
@@ -148,6 +157,12 @@ class TestSample:
         with pytest.raises(ValueError, match="shots must be an integer"):
             sample(plus_state(), [0], 10.5, seed=0)
         assert sample(plus_state(), [0], np.int64(10), seed=0).shots == 10
+        with pytest.raises(ValueError, match="seed"):
+            sample(plus_state(), [0], 10, seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            sample(plus_state(), [0], 10, seed=1.5)
+        hist = sample(plus_state(), [0], 10, seed=np.int64(3))
+        assert json.dumps(histogram_json_fields({}, hist)["seed"]) == "3"
 
     def test_histogram_json_schema(self):
         state = bell_state_2q()

@@ -13,7 +13,6 @@ from qsim.gates import GateKind, matrix_of
 from qsim.measure import probabilities, sample
 from qsim.protocols import (
     BellIndex,
-    InputState1Q,
     bell_state,
     build_teleport_circuit,
     circuit_correction_table,
@@ -30,9 +29,8 @@ SQRT1_2 = 1 / np.sqrt(2)
 ALL_BELL = [BellIndex(n, m) for n in (0, 1) for m in (0, 1)]
 
 
-def random_input(rng) -> InputState1Q:
-    vec = random_pure_vec(rng, 1)
-    return InputState1Q(complex(vec[0]), complex(vec[1]))
+def random_input(rng) -> PureState:
+    return PureState.from_amplitudes(random_pure_vec(rng, 1))
 
 
 def apply_correction(vec: np.ndarray, correction) -> np.ndarray:
@@ -45,16 +43,16 @@ def apply_correction(vec: np.ndarray, correction) -> np.ndarray:
 class TestBellStates:
     def test_plain_pair(self):
         np.testing.assert_allclose(
-            bell_state(BellIndex(0, 0)).as_vector(),
+            bell_state(BellIndex(0, 0)).amps,
             [SQRT1_2, 0, 0, SQRT1_2], atol=1e-12)
 
     def test_singlet(self):
         np.testing.assert_allclose(
-            bell_state(BellIndex(1, 1)).as_vector(),
+            bell_state(BellIndex(1, 1)).amps,
             [0, SQRT1_2, -SQRT1_2, 0], atol=1e-12)
 
     def test_mutually_orthonormal(self):
-        vecs = [bell_state(i).as_vector() for i in ALL_BELL]
+        vecs = [bell_state(i).amps for i in ALL_BELL]
         gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
@@ -74,15 +72,21 @@ class TestAlgebraicTeleport:
         bob, correction = teleport_algebraic(psi, BellIndex(1, 1), BellIndex(1, 1))
         assert correction == ()
         # collapse carries a sign flip; the state is psi up to global phase
-        np.testing.assert_allclose(bob.as_vector(), -psi.as_vector(), atol=1e-10)
+        np.testing.assert_allclose(bob.amps, -psi.amps, atol=1e-10)
 
     def test_bit_flip_outcome(self):
         rng = np.random.default_rng(62)
         psi = random_input(rng)
         bob, correction = teleport_algebraic(psi, BellIndex(1, 1), BellIndex(0, 1))
         assert correction == (GateKind.X,)
-        np.testing.assert_allclose(bob.as_vector(),
-                                   [psi.b, psi.a], atol=1e-10)
+        np.testing.assert_allclose(bob.amps,
+                                   [psi.amps[1], psi.amps[0]], atol=1e-10)
+
+    def test_input_must_be_a_normalized_qubit(self):
+        with pytest.raises(ValueError, match="expected 1"):
+            teleport_algebraic(PureState(1, [1.0, 1.0]), BellIndex(1, 1), BellIndex(0, 0))
+        with pytest.raises(ValueError, match="one qubit"):
+            teleport_algebraic(bell_state(BellIndex(0, 0)), BellIndex(1, 1), BellIndex(0, 0))
 
     def test_singlet_channel_correction_table(self):
         # outcome (n, m) -> fix-up, with the singlet as the shared pair
@@ -101,8 +105,8 @@ class TestAlgebraicTeleport:
             psi = random_input(rng)
             for outcome in ALL_BELL:
                 bob, correction = teleport_algebraic(psi, BellIndex(1, 1), outcome)
-                fixed = apply_correction(bob.as_vector(), correction)
-                overlap = phase_insensitive_overlap(psi.as_vector(), fixed)
+                fixed = apply_correction(bob.amps, correction)
+                overlap = phase_insensitive_overlap(psi.amps, fixed)
                 assert overlap >= 1 - 1e-12
 
     def test_generalizes_to_any_channel(self):
@@ -111,8 +115,8 @@ class TestAlgebraicTeleport:
             for outcome in ALL_BELL:
                 psi = random_input(rng)
                 bob, correction = teleport_algebraic(psi, channel, outcome)
-                fixed = apply_correction(bob.as_vector(), correction)
-                assert phase_insensitive_overlap(psi.as_vector(), fixed) >= 1 - 1e-12
+                fixed = apply_correction(bob.amps, correction)
+                assert phase_insensitive_overlap(psi.amps, fixed) >= 1 - 1e-12
 
 
 class TestTeleportCircuit:

@@ -5,10 +5,10 @@ import pytest
 
 from qsim.errors import CapacityError
 from qsim.gates import GateKind, matrix_of
+from qsim.noise import decohere
 from qsim.states import (
     DensityMatrix,
     PureState,
-    TwoQubitState,
     apply_1q,
     apply_cnot,
     is_separable,
@@ -79,6 +79,13 @@ class TestApply1q:
     def test_qubit_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_1q(zero_state(2), H, 2)
+        with pytest.raises(ValueError, match="integers"):
+            apply_1q(zero_state(2), H, 0.0)
+        with pytest.raises(ValueError, match="integers"):
+            apply_cnot(zero_state(2), 0.0, 1)
+        with pytest.raises(ValueError, match="integers"):
+            decohere(zero_density(2), 1.0, 0.1, 0.1)
+        assert apply_1q(zero_state(2), H, np.int64(1)).amps[1] == pytest.approx(SQRT1_2)
 
     def test_matches_dense_oracle_on_pure_states(self):
         rng = np.random.default_rng(11)
@@ -192,18 +199,23 @@ class TestPartialTrace:
 class TestSeparability:
     def test_explicit_product_is_separable(self):
         # (|00> + |10>)/sqrt(2) = (|0> + |1>)|0>/sqrt(2)
-        s = TwoQubitState(SQRT1_2, 0, SQRT1_2, 0)
+        s = PureState.from_amplitudes([SQRT1_2, 0, SQRT1_2, 0])
         assert is_separable(s)
 
     def test_basis_state_is_separable(self):
-        assert is_separable(TwoQubitState(0, 1, 0, 0))  # |01>
+        assert is_separable(PureState.from_amplitudes([0, 1, 0, 0]))  # |01>
 
     def test_bell_state_is_entangled(self):
-        bell = TwoQubitState(SQRT1_2, 0, 0, SQRT1_2)
+        bell = PureState.from_amplitudes([SQRT1_2, 0, 0, SQRT1_2])
         assert not is_separable(bell)
         # brute force: no product state comes close
         rng = np.random.default_rng(18)
-        assert product_fit_distance(bell.as_vector(), 20000, rng) > 0.3
+        assert product_fit_distance(bell.amps, 20000, rng) > 0.3
+
+    def test_only_two_qubit_states(self):
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="two-qubit"):
+                is_separable(zero_state(n))
 
     def test_agrees_with_product_fit_oracle_on_1000_states(self):
         rng = np.random.default_rng(19)
@@ -215,7 +227,7 @@ class TestSeparability:
                 vec = np.kron(a, b)
             else:
                 vec = random_pure_vec(rng, 2)
-            state = TwoQubitState.from_vector(vec)
+            state = PureState(2, vec)
             oracle_says = separable_by_svd(vec)
             assert is_separable(state, tol=1e-8) == oracle_says
             separable += oracle_says
