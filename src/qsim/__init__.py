@@ -33,7 +33,7 @@ from .errors import (
     UntranspilableError,
     ValidationError,
 )
-from .gates import GateKind, cnot_matrix, is_clifford, matrix_of
+from .gates import GateKind, matrix_of
 from .measure import (
     BlochVector,
     Histogram,
@@ -108,14 +108,12 @@ __all__ = [
     "bloch_measure",
     "build_teleport_circuit",
     "circuit_correction_table",
-    "cnot_matrix",
     "correction_for",
     "decoherence_sweep",
     "default_device",
     "dephasing",
     "format_circuit",
     "histogram_json_fields",
-    "is_clifford",
     "is_separable",
     "load_device",
     "matrix_of",

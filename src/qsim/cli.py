@@ -83,11 +83,10 @@ def _ascii_bars(rows: list[tuple[str, str, float]]) -> str:
 def _histogram_text(probs: dict[str, float], hist: Histogram | None) -> str:
     if hist is not None:
         header = f"counts ({hist.shots} shots, seed {hist.seed}, rng {hist.rng})\n"
-        keys = sorted(set(probs) | set(hist.counts))
         rows = [
             (k, f"{hist.counts.get(k, 0):>8}  {hist.counts.get(k, 0) / hist.shots:8.6f}",
              hist.counts.get(k, 0) / hist.shots)
-            for k in keys
+            for k in sorted(probs)
         ]
     else:
         header = "exact probabilities\n"
@@ -101,8 +100,7 @@ def _histogram_csv(probs: dict[str, float], hist: Histogram | None) -> str:
         lines += [f"{k},{p!r}" for k, p in sorted(probs.items())]
     else:
         lines = ["bitstring,count,probability"]
-        keys = sorted(set(probs) | set(hist.counts))
-        lines += [f"{k},{hist.counts.get(k, 0)},{probs.get(k, 0.0)!r}" for k in keys]
+        lines += [f"{k},{hist.counts.get(k, 0)},{probs[k]!r}" for k in sorted(probs)]
     return "\n".join(lines) + "\n"
 
 

@@ -56,22 +56,9 @@ _MATRICES: dict[GateKind, np.ndarray] = {
     GateKind.ID: _mat([[1, 0], [0, 1]]),
 }
 
-# Basis |control target> with the control as the more significant bit.
-_CNOT = _mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-
 
 def matrix_of(gate: GateKind) -> np.ndarray:
     """Return the 2x2 matrix of a single-qubit gate (read-only array)."""
     if gate.is_two_qubit:
-        raise ValueError("cx is a two-qubit gate; use cnot_matrix()")
+        raise ValueError("cx is a two-qubit gate; use apply_cnot()")
     return _MATRICES[gate]
-
-
-def cnot_matrix() -> np.ndarray:
-    """Return the 4x4 CNOT matrix, control on the more significant bit."""
-    return _CNOT
-
-
-def is_clifford(gate: GateKind) -> bool:
-    """True for every platform gate except the T/T† pair."""
-    return gate not in (GateKind.T, GateKind.TDG)

@@ -2,10 +2,11 @@
 
 Bitstring keys cover exactly the measured qubits in ascending index
 order, leftmost bit = lowest measured index, consistent with the global
-qubit-0-is-most-significant convention. Shot sampling uses numpy's
-PCG64 generator; the algorithm identifier travels with every histogram
-so results are reproducible across platforms from (state, qubits,
-shots, seed) alone.
+qubit-0-is-most-significant convention. `marginal` is the one place
+that validates measured wires and clips negative populations, and
+`sample` draws from it. Shot sampling uses numpy's PCG64 generator; the
+algorithm identifier travels with every histogram so results are
+reproducible across platforms from (state, qubits, shots, seed) alone.
 """
 
 from __future__ import annotations
@@ -54,27 +55,19 @@ class BlochVector:
     purity_norm: float
 
 
-def _measured_indices(state, measured: Sequence[int]) -> list[int]:
-    qs = sorted(measured)
-    if not qs:
-        raise ValueError("measured qubit list is empty")
-    for q in qs:
-        _check_qubit(state.num_qubits, q)
-    if len(set(qs)) != len(qs):
-        raise ValueError("measured qubit list has duplicates")
-    return qs
+def marginal(state, measured: Sequence[int]) -> np.ndarray:
+    """Born weights of the measured qubits, flat, in ascending-bit order.
 
-
-def probabilities(state, measured: Sequence[int]) -> dict[str, float]:
-    """Marginal Born-rule distribution over the measured qubits.
-
-    Works on either state kind: |amp|^2 weights for a pure state, the
-    real diagonal for a density matrix, summed over the unmeasured
-    wires. Keys are fixed-width bitstrings in ascending qubit order;
-    zero-weight keys are omitted.
+    The one place that validates a measured-wire list and clips negative
+    populations; sums |amp|^2 or the real diagonal over unmeasured wires.
     """
-    qs = _measured_indices(state, measured)
     n = state.num_qubits
+    for q in measured:
+        _check_qubit(n, q)
+    if len(measured) == 0:
+        raise ValueError("measured qubit list is empty")
+    if len(set(measured)) != len(measured):
+        raise ValueError("measured qubit list has duplicates")
     if isinstance(state, PureState):
         weights = np.abs(state.amps) ** 2
     elif isinstance(state, DensityMatrix):
@@ -82,14 +75,20 @@ def probabilities(state, measured: Sequence[int]) -> dict[str, float]:
         np.clip(weights, 0.0, None, out=weights)
     else:
         raise TypeError(f"cannot measure {type(state).__name__}")
-    tensor = weights.reshape((2,) * n)
-    drop = tuple(q for q in range(n) if q not in set(qs))
-    marginal = tensor.sum(axis=drop) if drop else tensor
-    flat = marginal.reshape(-1)
-    width = len(qs)
+    drop = tuple(q for q in range(n) if q not in measured)
+    return weights.reshape((2,) * n).sum(axis=drop).reshape(-1)
+
+
+def probabilities(state, measured: Sequence[int]) -> dict[str, float]:
+    """Marginal Born-rule distribution over the measured qubits.
+
+    The `marginal` vector as a map from fixed-width bitstring keys in
+    ascending qubit order; keys below the weight floor are omitted.
+    """
+    width = len(measured)
     return {
         format(i, f"0{width}b"): float(p)
-        for i, p in enumerate(flat)
+        for i, p in enumerate(marginal(state, measured))
         if p >= _PROB_FLOOR
     }
 
@@ -97,6 +96,7 @@ def probabilities(state, measured: Sequence[int]) -> dict[str, float]:
 def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
     """Draw i.i.d. computational-basis shots from the state's distribution.
 
+    Draws from the renormalized `marginal` entries `probabilities` keeps.
     Identical (state, measured, shots, seed) reproduce identical counts;
     parallel runs should derive distinct seeds as seed XOR run_index.
     Zero-count keys are omitted.
@@ -107,13 +107,14 @@ def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    probs = probabilities(state, measured)
-    keys = sorted(probs)
-    pvec = np.array([probs[k] for k in keys])
+    flat = marginal(state, measured)
+    keep = np.flatnonzero(flat >= _PROB_FLOOR)
+    pvec = flat[keep]
     pvec /= pvec.sum()
     rng = np.random.default_rng(seed)
     drawn = rng.multinomial(shots, pvec)
-    counts = {k: int(c) for k, c in zip(keys, drawn) if c > 0}
+    width = len(measured)
+    counts = {format(int(i), f"0{width}b"): int(c) for i, c in zip(keep, drawn) if c > 0}
     return Histogram(shots=shots, counts=counts, seed=int(seed), rng=RNG_ALGORITHM)
 
 

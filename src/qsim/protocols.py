@@ -13,6 +13,7 @@ Every pure state here, Bell pair or protocol input, is a PureState.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -38,8 +39,10 @@ class BellIndex(NamedTuple):
 def bell_state(idx: BellIndex) -> PureState:
     """The maximally entangled two-qubit state with the given labels."""
     n, m = idx
-    if n not in (0, 1) or m not in (0, 1):
-        raise ValueError(f"Bell labels must be bits, got {idx}")
+    # a bool passes `in (0, 1)` but indexes numpy as a mask
+    ints = all(isinstance(b, numbers.Integral) and not isinstance(b, bool) for b in idx)
+    if not ints or n not in (0, 1) or m not in (0, 1):
+        raise ValueError(f"Bell labels must be the integers 0 or 1, got {idx}")
     vec = np.zeros(4, dtype=complex)
     vec[n] = _SQRT1_2                      # |0 n>
     vec[2 + (1 - n)] = (-1) ** m * _SQRT1_2  # |1 (1-n)>
@@ -85,6 +88,8 @@ def teleport_algebraic(
     input up to a global phase. The input must be a normalized one-qubit
     state.
     """
+    if not isinstance(input_state, PureState):
+        raise ValueError(f"teleport input must be a PureState, got {type(input_state).__name__}")
     if input_state.num_qubits != 1:
         raise ValueError(f"teleport input must be one qubit, got {input_state.num_qubits}")
     psi = input_state.amps
@@ -272,12 +277,14 @@ def decoherence_sweep(
     shots=None records exact probabilities; otherwise each point is
     sampled with its own derived seed (seed XOR n).
     """
+    if not isinstance(qubit, numbers.Integral):
+        raise ValueError(f"qubit must be an integer, got {qubit!r}")
+    if not isinstance(n_max, numbers.Integral) or n_max < 0:
+        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     if device is None:
         device = default_device()
     if not 0 <= qubit < device.num_qubits:
         raise ValueError(f"qubit {qubit} not on device '{device.name}'")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
 
     wires = qubit + 1
     idle = Circuit(wires, [Gate1(GateKind.ID, qubit)])

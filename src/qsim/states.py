@@ -235,6 +235,8 @@ def is_separable(state: PureState, tol: float = 1e-9) -> bool:
     factorization exactly when the determinant ad - bc of its coefficient
     matrix vanishes; `tol` absorbs floating-point noise.
     """
+    if not isinstance(state, PureState):
+        raise ValueError(f"separability needs a PureState, got {type(state).__name__}")
     if state.num_qubits != 2:
         raise ValueError(f"separability needs a two-qubit state, got {state.num_qubits}")
     a, b, c, d = state.amps

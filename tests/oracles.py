@@ -11,6 +11,7 @@ import numpy as np
 
 from qsim.circuit import Circuit, Cnot, Gate1, MeasureZ
 from qsim.gates import GateKind, matrix_of
+from qsim.measure import Histogram, probabilities
 
 SINGLE_KINDS = tuple(g for g in GateKind if not g.is_two_qubit)
 
@@ -73,6 +74,18 @@ def marginal_brute_force(weights: np.ndarray, n: int, measured: list[int]) -> di
         key = "".join(str((i >> (n - 1 - q)) & 1) for q in qs)
         out[key] = out.get(key, 0.0) + float(w)
     return out
+
+
+def sample_by_keys(state, measured, shots: int, seed: int) -> Histogram:
+    """Shot sampling through the probability map: sort its keys, rebuild
+    the weight vector from the dict, renormalize, draw once."""
+    probs = probabilities(state, measured)
+    keys = sorted(probs)
+    pvec = np.array([probs[k] for k in keys])
+    pvec /= pvec.sum()
+    drawn = np.random.default_rng(seed).multinomial(shots, pvec)
+    counts = {k: int(c) for k, c in zip(keys, drawn) if c > 0}
+    return Histogram(shots=shots, counts=counts, seed=seed)
 
 
 def reduced_1q_brute_force(rho: np.ndarray, n: int, keep: int) -> np.ndarray:

@@ -1,6 +1,10 @@
 """CLI contract: exit codes, formats, determinism, device resolution."""
 
+import contextlib
+import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,54 @@ def test_zero_shots_is_usage_error(argv, bell_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --shots must be >= 1\n"
+
+
+# Byte-stable stdout: each case's exit code and stdout, as recorded in
+# tests/golden/<name>.txt ("exit <code>" on the first line, then stdout).
+# Regenerate with `PYTHONPATH=src python tests/test_cli.py` when a change
+# moves a printed value on purpose, and record the moved values.
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = REPO / "tests" / "golden"
+GOLDEN_CASES = {
+    **{
+        f"simulate_{c.stem}_{p}_json": ["simulate", f"circuits/{c.name}", "--processor", p,
+                                        "--format", "json", "--seed", "7"]
+        for c in sorted((REPO / "circuits").glob("*.qc"))
+        for p in ("ideal", "real")
+    },
+    "simulate_bell_csv": ["simulate", "circuits/bell.qc", "--format", "csv", "--seed", "7"],
+    "simulate_bell_ascii": ["simulate", "circuits/bell.qc", "--format", "ascii", "--seed", "7"],
+    **{
+        f"teleport_{s}_{p}": ["teleport", "--state", s, "--processor", p, "--seed", "7"]
+        for s in ("one", "plus")
+        for p in ("ideal", "real")
+    },
+    "teleport_one_real_json": ["teleport", "--state", "one", "--processor", "real",
+                               "--format", "json", "--seed", "7"],
+    "sweep_q3_exact": ["sweep", "--qubit", "3", "--n-max", "50", "--probabilities"],
+    "sweep_q3_sampled": ["sweep", "--qubit", "3", "--n-max", "50", "--shots", "500",
+                         "--seed", "7"],
+}
+
+
+def _golden_run(argv) -> str:
+    argv = [str(REPO / a) if a.startswith("circuits/") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_stdout_matches_golden(name, monkeypatch):
+    monkeypatch.delenv("QSIM_DEVICE", raising=False)
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    assert _golden_run(GOLDEN_CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    os.environ.pop("QSIM_DEVICE", None)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in GOLDEN_CASES.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(_golden_run(argv), encoding="utf-8")
+    print(f"wrote {len(GOLDEN_CASES)} files to {GOLDEN_DIR}")

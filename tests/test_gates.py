@@ -1,9 +1,9 @@
-"""Gate matrices: definitions, algebra, and the Clifford split."""
+"""Gate matrices: definitions and algebra."""
 
 import numpy as np
 import pytest
 
-from qsim.gates import GateKind, cnot_matrix, is_clifford, matrix_of
+from qsim.gates import GateKind, matrix_of
 
 I2 = np.eye(2)
 SINGLE = [g for g in GateKind if not g.is_two_qubit]
@@ -14,14 +14,6 @@ def test_every_single_qubit_matrix_is_unitary():
         u = matrix_of(g)
         np.testing.assert_allclose(u.conj().T @ u, I2, atol=1e-12,
                                    err_msg=f"{g.value}†{g.value} != I")
-
-
-def test_cnot_matrix_is_unitary_permutation():
-    u = cnot_matrix()
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
-    # |10> -> |11>, |11> -> |10>, control untouched otherwise
-    np.testing.assert_allclose(u @ np.eye(4)[2], np.eye(4)[3], atol=1e-12)
-    np.testing.assert_allclose(u @ np.eye(4)[0], np.eye(4)[0], atol=1e-12)
 
 
 def test_x_flips_the_basis():
@@ -60,14 +52,6 @@ def test_pauli_algebra_cycles():
 
 def test_identity_gate_is_identity():
     np.testing.assert_allclose(matrix_of(GateKind.ID), I2, atol=1e-15)
-
-
-def test_clifford_split():
-    assert is_clifford(GateKind.H)
-    assert is_clifford(GateKind.CNOT)
-    assert is_clifford(GateKind.S) and is_clifford(GateKind.SDG)
-    assert not is_clifford(GateKind.T)
-    assert not is_clifford(GateKind.TDG)
 
 
 def test_matrix_of_rejects_cnot():

@@ -20,7 +20,7 @@ from qsim.measure import (
 )
 from qsim.states import DensityMatrix, PureState, apply_1q, apply_cnot, zero_density, zero_state
 
-from oracles import marginal_brute_force, random_density_mat, random_pure_vec
+from oracles import marginal_brute_force, random_density_mat, random_pure_vec, sample_by_keys
 
 H = matrix_of(GateKind.H)
 
@@ -93,6 +93,8 @@ class TestProbabilities:
         with pytest.raises(ValueError, match="integers"):
             probabilities(s, [0.0])
         with pytest.raises(ValueError, match="integers"):
+            probabilities(s, [0, "1"])
+        with pytest.raises(ValueError, match="integers"):
             sample(s, [1.0], 16, seed=0)
         with pytest.raises(ValueError, match="integers"):
             bloch_measure(zero_density(2), 0.0)
@@ -150,6 +152,29 @@ class TestSample:
     def test_counts_sum_to_shots(self, seed, shots):
         hist = sample(bell_state_2q(), [0, 1], shots, seed=seed)
         assert sum(hist.counts.values()) == shots
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data(), density=st.booleans(), seed=st.integers(0, 2**64 - 1),
+           shots=st.integers(1, 10**5))
+    def test_matches_the_probability_map_oracle(self, data, density, seed, shots):
+        n = data.draw(st.integers(1, 5 if density else 10))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # zeroed or tiny weights fall below the floor; index 0 keeps a normal one
+        shrink = data.draw(st.lists(st.sampled_from([1.0, 0.0, 1e-18]),
+                                    min_size=1 << n, max_size=1 << n))
+        shrink[0] = 1.0
+        if density:
+            mat = random_density_mat(rng, n) * np.sqrt(np.outer(shrink, shrink))
+            if data.draw(st.booleans()):
+                mat[-1, -1] = -1e-16  # a rounding-noise population, clipped to 0
+            state = DensityMatrix(n, mat / np.trace(mat))
+        else:
+            vec = random_pure_vec(rng, n) * np.sqrt(shrink)
+            state = PureState(n, vec / np.linalg.norm(vec))
+        measured = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+        hist = sample(state, measured, shots, seed)
+        assert hist == sample_by_keys(state, measured, shots, seed)
+        assert set(hist.counts) <= set(probabilities(state, measured))
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):

@@ -21,7 +21,7 @@ from qsim.protocols import (
     run_teleport,
     teleport_algebraic,
 )
-from qsim.states import PureState, is_separable
+from qsim.states import PureState, is_separable, zero_density
 
 from oracles import phase_insensitive_overlap, random_pure_vec
 
@@ -63,6 +63,12 @@ class TestBellStates:
     def test_bad_labels(self):
         with pytest.raises(ValueError):
             bell_state(BellIndex(2, 0))
+        with pytest.raises(ValueError, match="integers 0 or 1"):
+            bell_state(BellIndex(True, 0))
+        with pytest.raises(ValueError, match="integers 0 or 1"):
+            bell_state(BellIndex(0, 1.0))
+        np.testing.assert_array_equal(bell_state(BellIndex(np.int64(1), np.int64(0))).amps,
+                                      bell_state(BellIndex(1, 0)).amps)
 
 
 class TestAlgebraicTeleport:
@@ -87,6 +93,8 @@ class TestAlgebraicTeleport:
             teleport_algebraic(PureState(1, [1.0, 1.0]), BellIndex(1, 1), BellIndex(0, 0))
         with pytest.raises(ValueError, match="one qubit"):
             teleport_algebraic(bell_state(BellIndex(0, 0)), BellIndex(1, 1), BellIndex(0, 0))
+        with pytest.raises(ValueError, match="PureState"):
+            teleport_algebraic(zero_density(1), BellIndex(1, 1), BellIndex(0, 0))
 
     def test_singlet_channel_correction_table(self):
         # outcome (n, m) -> fix-up, with the singlet as the shared pair
@@ -272,6 +280,10 @@ class TestDecoherenceSweep:
     def test_qubit_must_be_on_device(self):
         with pytest.raises(ValueError, match="not on device"):
             decoherence_sweep(7, 3, shots=None)
+        with pytest.raises(ValueError, match="qubit must be an integer"):
+            decoherence_sweep(1.5, 2)
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            decoherence_sweep(1, 2.5)
 
 
 PACKAGED = default_device()

@@ -216,6 +216,8 @@ class TestSeparability:
         for n in (1, 3):
             with pytest.raises(ValueError, match="two-qubit"):
                 is_separable(zero_state(n))
+        with pytest.raises(ValueError, match="PureState"):
+            is_separable(zero_density(2))
 
     def test_agrees_with_product_fit_oracle_on_1000_states(self):
         rng = np.random.default_rng(19)
