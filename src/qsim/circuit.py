@@ -40,11 +40,6 @@ class Gate1:
     kind: GateKind
     qubit: int
 
-    def __post_init__(self):
-        # Non-GateKind kinds are left for the validator to flag as UnknownGate.
-        if isinstance(self.kind, GateKind) and self.kind.is_two_qubit:
-            raise ValueError("Gate1 cannot hold cx; use Cnot")
-
     @property
     def qubits(self) -> tuple[int, ...]:
         return (self.qubit,)
@@ -218,7 +213,7 @@ def _parse_qubit(token: str, num_qubits: int, line_no: int) -> int:
     return q
 
 
-_MNEMONICS = {g.value: g for g in GateKind if not g.is_two_qubit}
+_MNEMONICS = {g.value: g for g in GateKind}
 
 
 def parse(source: str, name: str = "") -> Circuit:

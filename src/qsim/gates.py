@@ -1,10 +1,11 @@
 """The platform gate set and its matrices.
 
 Single-qubit gates are the three Paulis, Hadamard, the phase pair S/S†,
-the non-Clifford pair T/T†, and an explicit identity; CNOT is the only
-two-qubit gate. Identity is a first-class gate rather than a no-op
-because the noisy engine charges one decoherence slot per gate, so a
-line of identities is a timed idle period.
+the non-Clifford pair T/T†, and an explicit identity. CNOT, the only
+two-qubit gate, is the circuit's `Cnot` instruction, not a GateKind.
+Identity is a first-class gate rather than a no-op because the noisy
+engine charges one decoherence slot per gate, so a line of identities
+is a timed idle period.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 
 class GateKind(str, Enum):
-    """Gate mnemonics as they appear in circuit files."""
+    """The single-qubit gates, by their mnemonics in circuit files (CNOT,
+    mnemonic cx, is the `Cnot` instruction)."""
 
     X = "x"
     Y = "y"
@@ -28,11 +30,6 @@ class GateKind(str, Enum):
     T = "t"
     TDG = "tdg"
     ID = "id"
-    CNOT = "cx"
-
-    @property
-    def is_two_qubit(self) -> bool:
-        return self is GateKind.CNOT
 
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -59,6 +56,4 @@ _MATRICES: dict[GateKind, np.ndarray] = {
 
 def matrix_of(gate: GateKind) -> np.ndarray:
     """Return the 2x2 matrix of a single-qubit gate (read-only array)."""
-    if gate.is_two_qubit:
-        raise ValueError("cx is a two-qubit gate; use apply_cnot()")
     return _MATRICES[gate]

@@ -12,13 +12,12 @@ reproducible across platforms from (state, qubits, shots, seed) alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _check_qubit, reduced_density_1q
+from .states import DensityMatrix, PureState, _check_qubit, _is_int, reduced_density_1q
 
 RNG_ALGORITHM = "pcg64"
 
@@ -58,8 +57,9 @@ class BlochVector:
 def marginal(state, measured: Sequence[int]) -> np.ndarray:
     """Born weights of the measured qubits, flat, in ascending-bit order.
 
-    The one place that validates a measured-wire list and clips negative
-    populations; sums |amp|^2 or the real diagonal over unmeasured wires.
+    The one place that validates a measured-wire list, clips negative
+    populations and refuses a state with no weight on the measured wires;
+    sums |amp|^2 or the real diagonal over unmeasured wires.
     """
     n = state.num_qubits
     for q in measured:
@@ -76,7 +76,10 @@ def marginal(state, measured: Sequence[int]) -> np.ndarray:
     else:
         raise TypeError(f"cannot measure {type(state).__name__}")
     drop = tuple(q for q in range(n) if q not in measured)
-    return weights.reshape((2,) * n).sum(axis=drop).reshape(-1)
+    flat = weights.reshape((2,) * n).sum(axis=drop).reshape(-1)
+    if not flat.max() >= _PROB_FLOOR:  # also true for NaN
+        raise ValueError(f"state has no measurable weight on qubits {list(measured)}")
+    return flat
 
 
 def probabilities(state, measured: Sequence[int]) -> dict[str, float]:
@@ -101,11 +104,11 @@ def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
     parallel runs should derive distinct seeds as seed XOR run_index.
     Zero-count keys are omitted.
     """
-    if not isinstance(shots, numbers.Integral):
+    if not _is_int(shots):
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     flat = marginal(state, measured)
     keep = np.flatnonzero(flat >= _PROB_FLOOR)
@@ -115,7 +118,7 @@ def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
     drawn = rng.multinomial(shots, pvec)
     width = len(measured)
     counts = {format(int(i), f"0{width}b"): int(c) for i, c in zip(keep, drawn) if c > 0}
-    return Histogram(shots=shots, counts=counts, seed=int(seed), rng=RNG_ALGORITHM)
+    return Histogram(shots=int(shots), counts=counts, seed=int(seed), rng=RNG_ALGORITHM)
 
 
 def histogram_json_fields(probs: dict[str, float],

@@ -13,7 +13,6 @@ Every pure state here, Bell pair or protocol input, is a PureState.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -23,7 +22,7 @@ from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, default_device
 from .engine import run
 from .gates import GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, _is_int
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -39,9 +38,7 @@ class BellIndex(NamedTuple):
 def bell_state(idx: BellIndex) -> PureState:
     """The maximally entangled two-qubit state with the given labels."""
     n, m = idx
-    # a bool passes `in (0, 1)` but indexes numpy as a mask
-    ints = all(isinstance(b, numbers.Integral) and not isinstance(b, bool) for b in idx)
-    if not ints or n not in (0, 1) or m not in (0, 1):
+    if not (_is_int(n) and _is_int(m)) or n not in (0, 1) or m not in (0, 1):
         raise ValueError(f"Bell labels must be the integers 0 or 1, got {idx}")
     vec = np.zeros(4, dtype=complex)
     vec[n] = _SQRT1_2                      # |0 n>
@@ -136,7 +133,7 @@ def build_teleport_circuit(prep: Sequence[GateKind] = ()) -> Circuit:
     targeting wire 1 because the resource is maximally entangled.
     """
     for g in prep:
-        if not isinstance(g, GateKind) or g.is_two_qubit:
+        if not isinstance(g, GateKind):
             raise ValueError(f"prep must contain single-qubit gates, got {g!r}")
     instrs: list = [Gate1(g, 0) for g in prep]
     instrs += [
@@ -277,9 +274,9 @@ def decoherence_sweep(
     shots=None records exact probabilities; otherwise each point is
     sampled with its own derived seed (seed XOR n).
     """
-    if not isinstance(qubit, numbers.Integral):
+    if not _is_int(qubit):
         raise ValueError(f"qubit must be an integer, got {qubit!r}")
-    if not isinstance(n_max, numbers.Integral) or n_max < 0:
+    if not _is_int(n_max) or n_max < 0:
         raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     if device is None:
         device = default_device()

@@ -6,9 +6,10 @@ in a circuit file. Basis state |q0 q1 ... q(n-1)> therefore lives at
 amplitude index q0*2^(n-1) + q1*2^(n-2) + ... + q(n-1), and output
 bitstrings read left to right as q0, q1, ...
 
-Gates are applied by strided pair updates over the amplitude (or density
-matrix) buffer, never by building the dense 2^n x 2^n operator; the
-dense construction exists only as a test oracle.
+Gates are applied by strided pair updates over a state's flat buffer,
+never by building the dense 2^n x 2^n operator (a test-oracle-only
+construction). A density matrix is the 2n-wire register of its buffer,
+so both processors run the same gate kernels.
 """
 
 from __future__ import annotations
@@ -126,24 +127,28 @@ def _pair_update(flat: np.ndarray, m: np.ndarray, pre: int, post: int) -> None:
     view[:, 1, :] = m[1, 0] * top + m[1, 1] * view[:, 1, :]
 
 
-def _apply_mat_pure(amps: np.ndarray, m: np.ndarray, n: int, q: int) -> None:
-    _pair_update(amps, m, 1 << q, 1 << (n - 1 - q))
-
-
-def _apply_mat_density(mat: np.ndarray, m: np.ndarray, n: int, q: int) -> None:
-    """rho <- m rho m† on wire q (m need not be unitary)."""
-    dim = 1 << n
-    flat = mat.reshape(-1)
-    _pair_update(flat, m, 1 << q, (1 << (n - 1 - q)) * dim)
-    _pair_update(flat, m.conj(), dim * (1 << q), 1 << (n - 1 - q))
+def _is_int(x) -> bool:
+    """A Python or numpy integer, but not a bool (which indexes numpy as a mask)."""
+    # runs per gate and per noise wire: plain ints skip the ~0.7 us ABC lookup
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def _check_qubit(n: int, q: int) -> None:
-    # runs per gate and per noise wire: plain ints skip the ~0.7 us ABC lookup
-    if type(q) is not int and not isinstance(q, numbers.Integral):
+    if not _is_int(q):
         raise ValueError(f"qubit indices must be integers, got {q!r}")
     if not 0 <= q < n:
         raise ValueError(f"qubit index {q} out of range for {n} qubits")
+
+
+def _register(state) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """(flat buffer, wire count, wire offset of each gate copy). rho is a 2n-wire
+    register: U rho U† is U on wire q, then conj(U) on column wire n + q."""
+    if isinstance(state, PureState):
+        return state.amps, state.num_qubits, (0,)
+    if isinstance(state, DensityMatrix):
+        n = state.num_qubits
+        return state.mat.reshape(-1), 2 * n, (0, n)
+    raise TypeError(f"cannot apply gates to {type(state).__name__}")
 
 
 def apply_1q(state, u: np.ndarray, q: int):
@@ -165,14 +170,11 @@ def apply_1q(state, u: np.ndarray, q: int):
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("single-qubit gate matrix must be 2x2")
-    n = state.num_qubits
-    _check_qubit(n, q)
-    if isinstance(state, PureState):
-        _apply_mat_pure(state.amps, u, n, q)
-    elif isinstance(state, DensityMatrix):
-        _apply_mat_density(state.mat, u, n, q)
-    else:
-        raise TypeError(f"cannot apply gates to {type(state).__name__}")
+    _check_qubit(state.num_qubits, q)
+    flat, wires, copies = _register(state)
+    for k, off in enumerate(copies):
+        w = off + q
+        _pair_update(flat, u if k == 0 else u.conj(), 1 << w, 1 << (wires - 1 - w))
     return state
 
 
@@ -199,14 +201,10 @@ def apply_cnot(state, control: int, target: int):
     _check_qubit(n, target)
     if control == target:
         raise ValueError("cnot control and target must differ")
-    if isinstance(state, PureState):
-        _cnot_swap(state.amps.reshape((2,) * n), control, target)
-    elif isinstance(state, DensityMatrix):
-        tensor = state.mat.reshape((2,) * (2 * n))
-        _cnot_swap(tensor, control, target)
-        _cnot_swap(tensor, n + control, n + target)
-    else:
-        raise TypeError(f"cannot apply gates to {type(state).__name__}")
+    flat, wires, copies = _register(state)
+    tensor = flat.reshape((2,) * wires)
+    for off in copies:
+        _cnot_swap(tensor, off + control, off + target)
     return state
 
 

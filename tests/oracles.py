@@ -13,7 +13,7 @@ from qsim.circuit import Circuit, Cnot, Gate1, MeasureZ
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import Histogram, probabilities
 
-SINGLE_KINDS = tuple(g for g in GateKind if not g.is_two_qubit)
+SINGLE_KINDS = tuple(GateKind)
 
 
 def lift_1q(u: np.ndarray, n: int, q: int) -> np.ndarray:

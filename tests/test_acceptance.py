@@ -37,7 +37,7 @@ from oracles import (
     random_pure_vec,
 )
 
-SINGLE = [g for g in GateKind if not g.is_two_qubit]
+SINGLE = list(GateKind)
 
 
 @contextmanager

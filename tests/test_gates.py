@@ -6,7 +6,7 @@ import pytest
 from qsim.gates import GateKind, matrix_of
 
 I2 = np.eye(2)
-SINGLE = [g for g in GateKind if not g.is_two_qubit]
+SINGLE = list(GateKind)
 
 
 def test_every_single_qubit_matrix_is_unitary():
@@ -52,11 +52,6 @@ def test_pauli_algebra_cycles():
 
 def test_identity_gate_is_identity():
     np.testing.assert_allclose(matrix_of(GateKind.ID), I2, atol=1e-15)
-
-
-def test_matrix_of_rejects_cnot():
-    with pytest.raises(ValueError, match="two-qubit"):
-        matrix_of(GateKind.CNOT)
 
 
 def test_matrices_are_read_only():

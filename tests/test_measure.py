@@ -95,6 +95,12 @@ class TestProbabilities:
         with pytest.raises(ValueError, match="integers"):
             probabilities(s, [0, "1"])
         with pytest.raises(ValueError, match="integers"):
+            probabilities(zero_state(2), [True])
+        with pytest.raises(ValueError, match=r"no measurable weight on qubits \[0\]"):
+            probabilities(DensityMatrix(1, np.zeros((2, 2))), [0])
+        with pytest.raises(ValueError, match=r"no measurable weight on qubits \[0\]"):
+            sample(DensityMatrix(1, np.zeros((2, 2))), [0], 16, seed=0)
+        with pytest.raises(ValueError, match="integers"):
             sample(s, [1.0], 16, seed=0)
         with pytest.raises(ValueError, match="integers"):
             bloch_measure(zero_density(2), 0.0)
@@ -182,6 +188,12 @@ class TestSample:
         with pytest.raises(ValueError, match="shots must be an integer"):
             sample(plus_state(), [0], 10.5, seed=0)
         assert sample(plus_state(), [0], np.int64(10), seed=0).shots == 10
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sample(plus_state(), [0], True, seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            sample(plus_state(), [0], 10, seed=True)
+        hist = sample(plus_state(), [0], np.int64(4), seed=0)
+        assert json.dumps(histogram_json_fields({}, hist)["shots"]) == "4"
         with pytest.raises(ValueError, match="seed"):
             sample(plus_state(), [0], 10, seed=-1)
         with pytest.raises(ValueError, match="seed"):

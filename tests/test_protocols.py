@@ -138,7 +138,7 @@ class TestTeleportCircuit:
 
     def test_prep_rejects_two_qubit_gates(self):
         with pytest.raises(ValueError, match="single-qubit"):
-            build_teleport_circuit([GateKind.CNOT])
+            build_teleport_circuit(["cx"])
 
     def test_empty_prep_sends_ground_state(self):
         # per branch (m, n) the receiver wire holds the inverse fix-up of |0>:
@@ -282,8 +282,12 @@ class TestDecoherenceSweep:
             decoherence_sweep(7, 3, shots=None)
         with pytest.raises(ValueError, match="qubit must be an integer"):
             decoherence_sweep(1.5, 2)
+        with pytest.raises(ValueError, match="qubit must be an integer"):
+            decoherence_sweep(True, 1)
         with pytest.raises(ValueError, match="n_max must be an integer"):
             decoherence_sweep(1, 2.5)
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            decoherence_sweep(1, True)
 
 
 PACKAGED = default_device()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsim.errors import CapacityError
 from qsim.gates import GateKind, matrix_of
@@ -85,11 +87,13 @@ class TestApply1q:
             apply_cnot(zero_state(2), 0.0, 1)
         with pytest.raises(ValueError, match="integers"):
             decohere(zero_density(2), 1.0, 0.1, 0.1)
+        with pytest.raises(ValueError, match="integers"):
+            apply_1q(zero_state(2), H, True)
         assert apply_1q(zero_state(2), H, np.int64(1)).amps[1] == pytest.approx(SQRT1_2)
 
     def test_matches_dense_oracle_on_pure_states(self):
         rng = np.random.default_rng(11)
-        kinds = [g for g in GateKind if not g.is_two_qubit]
+        kinds = list(GateKind)
         for _ in range(60):
             n = int(rng.integers(1, 4))
             q = int(rng.integers(n))
@@ -148,6 +152,30 @@ class TestApplyCnot:
             expected = big @ rho @ big.conj().T
             got = apply_cnot(DensityMatrix(n, rho.copy()), int(c), int(t))
             np.testing.assert_allclose(got.mat, expected, atol=1e-12)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_density_gates_are_pure_gates_on_the_doubled_register(data):
+    # rho's buffer is a 2n-wire register: a gate on rho is the same gate on
+    # row wire q and its conjugate on column wire n + q, bit for bit. Neither
+    # rho nor u is physical: the kernels never assume hermiticity or unitarity.
+    n = data.draw(st.integers(1, 5), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    dim = 1 << n
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q = data.draw(st.integers(0, n - 1), label="q")
+    got = apply_1q(DensityMatrix(n, rho.copy()), u, q)
+    doubled = apply_1q(apply_1q(PureState(2 * n, rho.reshape(-1).copy()), u, q),
+                       u.conj(), n + q)
+    assert np.array_equal(got.mat.reshape(-1), doubled.amps)
+    if n >= 2:
+        c, t = data.draw(st.permutations(range(n)), label="c, t")[:2]
+        got = apply_cnot(DensityMatrix(n, rho.copy()), c, t)
+        doubled = apply_cnot(apply_cnot(PureState(2 * n, rho.reshape(-1).copy()), c, t),
+                             n + c, n + t)
+        assert np.array_equal(got.mat.reshape(-1), doubled.amps)
 
 
 class TestPartialTrace:
@@ -242,7 +270,7 @@ class TestSeparability:
 class TestNormPreservation:
     def test_random_gate_sequences_keep_unit_norm(self):
         rng = np.random.default_rng(20)
-        kinds = [g for g in GateKind if not g.is_two_qubit]
+        kinds = list(GateKind)
         for _ in range(50):
             n = int(rng.integers(1, 5))
             s = PureState(n, random_pure_vec(rng, n))
