@@ -149,20 +149,30 @@ class DeviceModel:
     def from_dict(cls, data: dict) -> "DeviceModel":
         try:
             qubits = tuple(
-                QubitNoise(float(q["gamma_relax"]), float(q["gamma_phase"]))
+                QubitNoise(_json_number(q["gamma_relax"], "gamma_relax"),
+                           _json_number(q["gamma_phase"], "gamma_phase"))
                 for q in data["qubits"]
             )
             return cls(
                 name=str(data["name"]),
-                num_qubits=int(data["num_qubits"]),
+                num_qubits=_json_number(data["num_qubits"], "num_qubits", int),
                 allowed_cnot_targets=frozenset(
-                    int(t) for t in data["allowed_cnot_targets"]
+                    _json_number(t, "allowed_cnot_targets entry", int)
+                    for t in data["allowed_cnot_targets"]
                 ),
-                gate_time_tau_s=float(data["gate_time_tau_s"]),
+                gate_time_tau_s=_json_number(data["gate_time_tau_s"], "gate_time_tau_s"),
                 qubits=qubits,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DeviceError(f"bad device description: {exc}") from exc
+
+
+def _json_number(value, field: str, kind: type = float):
+    """A device field as `kind`: a JSON integer for int, any JSON number for float."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise TypeError(f"{field} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def load_device(path) -> DeviceModel:
@@ -304,9 +314,15 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(out) + "\n"
 
 
-def structural_violations(circuit: Circuit) -> list[Violation]:
-    """Device-independent checks: wire bounds, gate kinds, terminal
-    measurement. Total over well-typed circuits; never raises."""
+def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violation]:
+    """Check that a circuit can execute, optionally on a given device.
+
+    Returns findings as data (empty list means runnable), in instruction
+    order, and never raises on a well-typed circuit. Wire bounds, gate
+    kinds and terminal measurement are checked first; with a device,
+    wires must then fit the chip and every CNOT must point at an allowed
+    target. Either way the circuit needs at least one measurement.
+    """
     found: list[Violation] = []
     measured: set[int] = set()
     for idx, instr in enumerate(circuit.instrs):
@@ -321,35 +337,17 @@ def structural_violations(circuit: Circuit) -> list[Violation]:
                 idx, ViolationCode.UNKNOWN_GATE,
                 f"unknown gate kind {instr.kind!r}",
             ))
-        if isinstance(instr, (Gate1, Cnot)):
-            for q in instr.qubits:
-                if q in measured:
-                    found.append(Violation(
-                        idx, ViolationCode.GATE_AFTER_MEASURE,
-                        f"gate on q{q} after its measurement",
-                    ))
-        else:
-            for q in instr.qubits:
-                if q in measured:
-                    found.append(Violation(
-                        idx, ViolationCode.GATE_AFTER_MEASURE,
-                        f"q{q} measured twice",
-                    ))
+        is_gate = isinstance(instr, (Gate1, Cnot))
+        for q in instr.qubits:
+            if q in measured:
+                found.append(Violation(
+                    idx, ViolationCode.GATE_AFTER_MEASURE,
+                    f"gate on q{q} after its measurement" if is_gate
+                    else f"q{q} measured twice",
+                ))
+        if not is_gate:
             measured.update(instr.qubits)
-    return found
-
-
-def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violation]:
-    """Check that a circuit can execute, optionally on a given device.
-
-    Returns findings as data (empty list means runnable). With a device,
-    wires must fit the chip and every CNOT must point at an allowed
-    target; either way the circuit needs at least one measurement of
-    some kind before a shot run makes sense.
-    """
-    found = structural_violations(circuit)
-    if device is not None:
-        for idx, instr in enumerate(circuit.instrs):
+        if device is not None:
             for q in instr.qubits:
                 if 0 <= q < circuit.num_qubits and q >= device.num_qubits:
                     found.append(Violation(
@@ -364,12 +362,11 @@ def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violat
                     f"cx may not target q{instr.target} on '{device.name}' "
                     f"(allowed targets: {allowed})",
                 ))
-    if not any(isinstance(i, (MeasureZ, BlochMeasure)) for i in circuit.instrs):
+    if not measured:
         found.append(Violation(
             len(circuit.instrs), ViolationCode.NO_MEASUREMENT,
             "circuit has no measurement",
         ))
-    found.sort(key=lambda v: v.index)
     return found
 
 

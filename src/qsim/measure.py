@@ -145,9 +145,12 @@ def bloch_measure(state, q: int) -> BlochVector:
     expectations; unlike computational-basis probabilities this
     distinguishes |+> from |->. For one half of a maximally entangled
     pair the vector collapses to the origin (purity_norm 0): the reduced
-    state carries no direction information.
+    state carries no direction information. A state with no weight on
+    wire q is refused, as `marginal` refuses it.
     """
     rho = reduced_density_1q(state, q)
+    if not rho[0, 0].real + rho[1, 1].real >= _PROB_FLOOR:  # also true for NaN
+        raise ValueError(f"state has no measurable weight on qubit {q}")
     # + 0.0 normalizes IEEE negative zeros out of the report
     x = float(2.0 * rho[0, 1].real) + 0.0
     y = float(-2.0 * rho[0, 1].imag) + 0.0

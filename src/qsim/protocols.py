@@ -22,7 +22,7 @@ from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, default_device
 from .engine import run
 from .gates import GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
-from .states import DensityMatrix, PureState, _is_int
+from .states import PureState, _is_int
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -35,11 +35,17 @@ class BellIndex(NamedTuple):
     m: int
 
 
-def bell_state(idx: BellIndex) -> PureState:
-    """The maximally entangled two-qubit state with the given labels."""
+def _bell_labels(idx: BellIndex) -> tuple[int, int]:
+    """The (n, m) labels of a Bell index, a BellIndex or a plain pair."""
     n, m = idx
     if not (_is_int(n) and _is_int(m)) or n not in (0, 1) or m not in (0, 1):
         raise ValueError(f"Bell labels must be the integers 0 or 1, got {idx}")
+    return n, m
+
+
+def bell_state(idx: BellIndex) -> PureState:
+    """The maximally entangled two-qubit state with the given labels."""
+    n, m = _bell_labels(idx)
     vec = np.zeros(4, dtype=complex)
     vec[n] = _SQRT1_2                      # |0 n>
     vec[2 + (1 - n)] = (-1) ** m * _SQRT1_2  # |1 (1-n)>
@@ -55,10 +61,11 @@ def correction_for(channel: BellIndex, outcome: BellIndex) -> tuple[GateKind, ..
     channel-(1,1) columns are standard tables; other channels follow
     the same rule and are verified numerically in the test suite.
     """
+    (channel_n, channel_m), (outcome_n, outcome_m) = _bell_labels(channel), _bell_labels(outcome)
     correction: list[GateKind] = []
-    if channel.n ^ outcome.n:
+    if channel_n ^ outcome_n:
         correction.append(GateKind.X)
-    if channel.m ^ outcome.m:
+    if channel_m ^ outcome_m:
         correction.append(GateKind.Z)
     return tuple(correction)
 
@@ -167,24 +174,6 @@ class TeleportResult:
     branches: list[BranchReport]
 
 
-def _branch_pure(state: PureState, m: int, n: int) -> tuple[float, np.ndarray]:
-    base = (m << 2) | (n << 1)
-    vec = state.amps[base:base + 2].copy()
-    weight = float(np.vdot(vec, vec).real)
-    if weight > 1e-12:
-        vec /= np.sqrt(weight)
-    return weight, vec
-
-
-def _branch_density(state: DensityMatrix, m: int, n: int) -> tuple[float, np.ndarray]:
-    base = (m << 2) | (n << 1)
-    block = state.mat[base:base + 2, base:base + 2].copy()
-    weight = float(np.trace(block).real)
-    if weight > 1e-12:
-        block /= weight
-    return weight, block
-
-
 def run_teleport(
     prep: Sequence[GateKind],
     processor: str = "ideal",
@@ -197,9 +186,9 @@ def run_teleport(
     The reported distribution covers all three wires (sender bits m, n
     and the receiver bit), so outcome keys are 3 bits wide. For each
     sender outcome the receiver's post-selected state is corrected per
-    circuit_correction_table() and compared against the input: on the
-    ideal engine the fidelity is the amplitude overlap |<in|corrected>|,
-    on the real engine it is <in| rho_corrected |in>.
+    circuit_correction_table() and compared against the input. Both
+    processors read the branch from the same 2x2 block of the three-wire
+    density matrix, so the fidelity is <in| rho_corrected |in> on either.
 
     shots=None skips sampling and reports exact probabilities only.
     """
@@ -208,6 +197,7 @@ def run_teleport(
     probs = probabilities(state, [0, 1, 2])
     hist = sample(state, [0, 1, 2], shots, seed) if shots is not None else None
 
+    rho = state.to_density() if isinstance(state, PureState) else state
     psi_in = _apply_gates(prep, np.array([1.0, 0.0], dtype=complex))
     table = circuit_correction_table()
     branches = []
@@ -216,13 +206,13 @@ def run_teleport(
             outcome = f"{m}{n}"
             correction = table[outcome]
             fixup = _apply_gates(correction, np.eye(2, dtype=complex))
-            if isinstance(state, PureState):
-                weight, vec = _branch_pure(state, m, n)
-                fidelity = float(abs(np.vdot(psi_in, fixup @ vec)))
-            else:
-                weight, block = _branch_density(state, m, n)
-                corrected = fixup @ block @ fixup.conj().T
-                fidelity = float(np.real(psi_in.conj() @ corrected @ psi_in))
+            base = (m << 2) | (n << 1)
+            block = rho.mat[base:base + 2, base:base + 2]
+            weight = float(np.trace(block).real)
+            if weight > 1e-12:
+                block = block / weight
+            corrected = fixup @ block @ fixup.conj().T
+            fidelity = float(np.real(psi_in.conj() @ corrected @ psi_in))
             branches.append(BranchReport(outcome, weight, correction, fidelity))
     return TeleportResult(
         circuit=circuit,

@@ -157,6 +157,26 @@ def random_circuit(rng, num_qubits: int, depth: int, cnot_weight: float = 0.25,
     return Circuit(num_qubits, instrs)
 
 
+def teleport_branches_dense(rho: np.ndarray, psi_in: np.ndarray,
+                            fixups: dict[str, tuple[GateKind, ...]]) -> dict[str, tuple[float, float]]:
+    """Outcome mn -> (weight, fidelity) of an 8x8 teleport state: P = |mn><mn| x I
+    post-selects the sender bits, sigma = Tr_01(P rho P) by reshape and einsum,
+    and fidelity = <psi| F sigma F^dagger |psi> / tr sigma with F the fix-up."""
+    out = {}
+    for key, gates in fixups.items():
+        ket = np.zeros(4)
+        ket[int(key, 2)] = 1.0
+        proj = np.kron(np.outer(ket, ket), np.eye(2))
+        sigma = np.einsum("aiaj->ij", (proj @ rho @ proj).reshape(4, 2, 4, 2))
+        fix = np.eye(2, dtype=complex)
+        for g in gates:
+            fix = matrix_of(g) @ fix
+        weight = float(np.trace(sigma).real)
+        fidelity = float((psi_in.conj() @ fix @ sigma @ fix.conj().T @ psi_in).real) / weight
+        out[key] = (weight, fidelity)
+    return out
+
+
 def phase_insensitive_overlap(u: np.ndarray, v: np.ndarray) -> float:
     """|<u|v>| for unit vectors; 1 means equal up to a global phase."""
     return float(abs(np.vdot(u, v)))

@@ -1,5 +1,7 @@
 """Text format round-trips, the device validator, and CNOT retargeting."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,25 @@ class TestDeviceModel:
         with pytest.raises(DeviceError):
             load_device(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_qubits", 5.7, "num_qubits must be an integer, got 5.7"),
+        ("num_qubits", True, "num_qubits must be an integer, got True"),
+        ("num_qubits", "5", "num_qubits must be an integer, got '5'"),
+        ("allowed_cnot_targets", [2.9], "allowed_cnot_targets entry must be an integer"),
+        ("allowed_cnot_targets", [True], "allowed_cnot_targets entry must be an integer"),
+        ("gate_time_tau_s", True, "gate_time_tau_s must be a number, got True"),
+        ("gate_time_tau_s", "1e-7", "gate_time_tau_s must be a number"),
+        ("gate_time_tau_s", 10 ** 400, "int too large to convert to float"),
+        ("qubits", [{"gamma_relax": True, "gamma_phase": 0.0}], "gamma_relax must be a number"),
+        ("qubits", [{"gamma_relax": 0.0, "gamma_phase": "0"}], "gamma_phase must be a number"),
+    ])
+    def test_non_numeric_fields_rejected(self, field, value, message):
+        data = {"name": "toy", "num_qubits": 1, "allowed_cnot_targets": [0],
+                "gate_time_tau_s": 1e-7, "qubits": [{"gamma_relax": 0.0, "gamma_phase": 0.0}]}
+        data[field] = value
+        with pytest.raises(DeviceError, match=re.escape(message)):
+            DeviceModel.from_dict(data)
+
 
 class TestValidate:
     def test_teleport_is_clean_on_default_device(self):
@@ -224,7 +245,22 @@ class TestValidate:
         for _ in range(100):
             c = random_circuit(rng, int(rng.integers(1, 7)), int(rng.integers(0, 20)),
                                measure=bool(rng.integers(2)))
-            validate(c, default_device())  # must never raise
+            found = validate(c, default_device())  # must never raise
+            assert [v.index for v in found] == sorted(v.index for v in found)
+
+    def test_findings_in_instruction_order_structural_first(self):
+        device = DeviceModel("toy3", 3, frozenset({0, 2}), 1e-7, (QubitNoise(0.0, 0.0),) * 3)
+        c = Circuit(5, [MeasureZ(3), Cnot(4, 3), Gate1("zz", 7)])
+        V = ViolationCode
+        assert [(v.index, v.code, v.message) for v in validate(c, device)] == [
+            (0, V.QUBIT_OUT_OF_RANGE, "q3 not present on 3-qubit device 'toy3'"),
+            (1, V.GATE_AFTER_MEASURE, "gate on q3 after its measurement"),
+            (1, V.QUBIT_OUT_OF_RANGE, "q4 not present on 3-qubit device 'toy3'"),
+            (1, V.QUBIT_OUT_OF_RANGE, "q3 not present on 3-qubit device 'toy3'"),
+            (1, V.CNOT_TARGET_FORBIDDEN, "cx may not target q3 on 'toy3' (allowed targets: q0,q2)"),
+            (2, V.QUBIT_OUT_OF_RANGE, "q7 out of range for 5-qubit circuit"),
+            (2, V.UNKNOWN_GATE, "unknown gate kind 'zz'"),
+        ]
 
 
 class TestRetarget:

@@ -106,6 +106,10 @@ class TestProbabilities:
             bloch_measure(zero_density(2), 0.0)
         with pytest.raises(ValueError, match="integers"):
             bloch_measure(s, 1.0)
+        for empty in (DensityMatrix(1, np.zeros((2, 2))), PureState(1, np.zeros(2)),
+                      DensityMatrix(1, np.full((2, 2), np.nan))):
+            with pytest.raises(ValueError, match="no measurable weight on qubit 0"):
+                bloch_measure(empty, 0)
         assert probabilities(s, [np.int64(0)]) == pytest.approx({"0": 0.5, "1": 0.5})
 
     def test_key_order_is_ascending_qubit_index(self):

@@ -21,9 +21,9 @@ from qsim.protocols import (
     run_teleport,
     teleport_algebraic,
 )
-from qsim.states import PureState, is_separable, zero_density
+from qsim.states import DensityMatrix, PureState, is_separable, zero_density
 
-from oracles import phase_insensitive_overlap, random_pure_vec
+from oracles import phase_insensitive_overlap, random_pure_vec, teleport_branches_dense
 
 SQRT1_2 = 1 / np.sqrt(2)
 ALL_BELL = [BellIndex(n, m) for n in (0, 1) for m in (0, 1)]
@@ -69,6 +69,10 @@ class TestBellStates:
             bell_state(BellIndex(0, 1.0))
         np.testing.assert_array_equal(bell_state(BellIndex(np.int64(1), np.int64(0))).amps,
                                       bell_state(BellIndex(1, 0)).amps)
+        with pytest.raises(ValueError, match="integers 0 or 1"):
+            correction_for(BellIndex(2, 0), BellIndex(0, 0))
+        with pytest.raises(ValueError, match="integers 0 or 1"):
+            correction_for(BellIndex(0, 0), BellIndex(0, 5))
 
 
 class TestAlgebraicTeleport:
@@ -87,6 +91,10 @@ class TestAlgebraicTeleport:
         assert correction == (GateKind.X,)
         np.testing.assert_allclose(bob.amps,
                                    [psi.amps[1], psi.amps[0]], atol=1e-10)
+        # plain pairs work as labels, as they do for bell_state
+        bob_pair, correction_pair = teleport_algebraic(psi, (1, 1), (0, 1))
+        assert correction_pair == correction
+        np.testing.assert_array_equal(bob_pair.amps, bob.amps)
 
     def test_input_must_be_a_normalized_qubit(self):
         with pytest.raises(ValueError, match="expected 1"):
@@ -316,3 +324,27 @@ def test_sweep_rows_equal_independent_runs(processor, qubit, n_max, shots, seed,
             expected.append((n, counts.get("0", 0) / shots, counts.get("1", 0) / shots))
     res = decoherence_sweep(qubit, n_max, processor, device, shots, seed)
     assert res.points == expected
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(prep=st.lists(st.sampled_from(list(GateKind)), max_size=4),
+       rates=st.lists(st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.05)),
+                      min_size=5, max_size=5))
+def test_teleport_branches_match_dense_oracle(processor, prep, rates):
+    """Every branch of run_teleport equals the projector-and-partial-trace
+    construction on the same 8x8 state, on both processors."""
+    device = dataclasses.replace(
+        PACKAGED, name="random-rates", qubits=tuple(QubitNoise(g, lam) for g, lam in rates))
+    state = run(build_teleport_circuit(prep), processor, device)
+    rho = state.mat if isinstance(state, DensityMatrix) else np.outer(state.amps, state.amps.conj())
+    psi_in = apply_correction(np.array([1.0, 0.0], dtype=complex), prep)
+    expected = teleport_branches_dense(rho, psi_in, circuit_correction_table())
+    result = run_teleport(prep, processor, shots=None, device=device)
+    assert [b.outcome for b in result.branches] == sorted(expected)
+    for b in result.branches:
+        weight, fidelity = expected[b.outcome]
+        assert b.probability == pytest.approx(weight, abs=1e-12)
+        assert b.fidelity == pytest.approx(fidelity, abs=1e-12)
+        if processor == "ideal":
+            assert b.fidelity == pytest.approx(1.0, abs=1e-12)
