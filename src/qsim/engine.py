@@ -2,10 +2,17 @@
 
 Every gate instruction updates the state. The ideal processor evolves a
 statevector and enforces only structural validity; the real processor
-evolves a density matrix, enforces the device, and follows each gate
-with one decoherence slot on every wire (see noise.py). Measurement and
+evolves a density matrix, enforces the device, and charges each gate
+one decoherence slot on every wire (see noise.py). Measurement and
 tomography markers are inert: the returned state is the
 pre-measurement one.
+
+Slots are flushed lazily. The slot acts on one wire, and it commutes
+with every gate on other wires and with diagonal gates on its own wire
+(it is phase-covariant). So run keeps a count of pending slots per
+noisy wire and applies them as one `decohere(..., slots=k)` only before
+a non-diagonal gate or a cx touches the wire, and at the end of the
+run: at most two flushes per gate, plus one per noisy wire at the end.
 """
 
 from __future__ import annotations
@@ -80,14 +87,27 @@ def run(
             raise ValueError(f"initial state must be a {n}-qubit {kind.__name__}")
         state = initial.copy()
     slot = (noise or NoiseConfig.from_device(device)).slot(n) if real else []
+    rates = {q: (gamma, lam) for q, gamma, lam in slot}
+    flushed = dict.fromkeys(rates, 0)  # gate count at each noisy wire's last flush
+    gates = 0
+
+    def flush(*wires):
+        for q in wires:
+            if q in rates and flushed[q] < gates:
+                decohere(state, q, *rates[q], slots=gates - flushed[q])
+                flushed[q] = gates
 
     for instr in circuit.instrs:
         if isinstance(instr, Gate1):
-            apply_1q(state, matrix_of(instr.kind), instr.qubit)
+            u = matrix_of(instr.kind)
+            if u[0, 1] or u[1, 0]:  # the slot commutes with diagonal gates only
+                flush(instr.qubit)
+            apply_1q(state, u, instr.qubit)
         elif isinstance(instr, Cnot):
+            flush(instr.control, instr.target)
             apply_cnot(state, instr.control, instr.target)
         else:
             continue  # measurement markers: no unitary, no slot
-        for q, gamma, lam in slot:
-            decohere(state, q, gamma, lam)
+        gates += 1
+    flush(*rates)
     return state

@@ -1,13 +1,15 @@
 """The decoherence slot of the "real processor".
 
-On the real processor every gate instruction is followed by one
+On the real processor every gate instruction is charged one
 decoherence slot on every wire of the register, idle wires included:
 amplitude damping (relaxation toward |0>) plus optional dephasing, with
 per-qubit rates taken from the device model. Identity gates therefore
-act as timed idle slots. `decohere` is the slot on one wire: the
-closed form of both channels, applied in place. `KrausChannel`,
+act as timed idle slots. `decohere` applies k slots on one wire at
+once: the closed form of both channels, in place. `KrausChannel`,
 `amplitude_damping` and `dephasing` define the channels and are the
-test oracle for that closed form. engine.run applies the slot.
+test oracle for that closed form. engine.run charges the slots per gate
+and flushes them lazily, k at a time, when a gate that does not commute
+with them reaches the wire.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .circuit import DeviceModel
 from .errors import DeviceError
-from .states import DensityMatrix, _check_qubit
+from .states import DensityMatrix, _check_qubit, _is_int
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -67,13 +69,23 @@ def dephasing(lam: float) -> KrausChannel:
     return KrausChannel((k0, k1))
 
 
-def decohere(rho: DensityMatrix, q: int, gamma: float, lam: float) -> DensityMatrix:
-    """dephasing(lam) after amplitude_damping(gamma) on wire q, in place;
-    returns rho. The two channels commute. On the row and column bit of
-    wire q: rho00 += gamma rho11, rho11 *= 1-gamma, and rho01, rho10 are
-    scaled by sqrt(1-gamma) (1-2 lam)."""
+def decohere(rho: DensityMatrix, q: int, gamma: float, lam: float,
+             slots: int = 1) -> DensityMatrix:
+    """`slots` slots of dephasing(lam) after amplitude_damping(gamma) on
+    wire q, in place; returns rho. The two channels commute. On the row
+    and column bit of wire q: rho00 += gamma rho11, rho11 *= 1-gamma, and
+    rho01, rho10 are scaled by sqrt(1-gamma) (1-2 lam).
+
+    k slots are one slot with rates 1-(1-gamma)^k and (1-(1-2 lam)^k)/2;
+    a single slot uses gamma and lam as given.
+    """
     n = rho.num_qubits
     _check_qubit(n, q)
+    if not _is_int(slots) or slots < 1:
+        raise ValueError(f"slots must be an integer >= 1, got {slots!r}")
+    if slots > 1:
+        gamma = 1.0 - (1.0 - gamma) ** slots
+        lam = (1.0 - (1.0 - 2.0 * lam) ** slots) / 2.0
     above, below = 1 << q, 1 << (n - 1 - q)
     m = rho.mat.reshape(above, 2, below, above, 2, below)
     m[:, 0, :, :, 0] += gamma * m[:, 1, :, :, 1]

@@ -22,6 +22,7 @@ from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, default_device
 from .engine import run
 from .gates import GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
+from .noise import NoiseConfig, decohere
 from .states import PureState, _is_int
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
@@ -256,10 +257,11 @@ def decoherence_sweep(
     Point n is the readout of [h q; id x n; measure q] on wires 0..q:
     Hadamard puts the wire at the equator, the identity line holds it
     there for n gate slots, and the readout records how far the
-    population has drifted back toward |0>. The register is evolved
-    once, one idle slot per point, so a sweep costs O(n_max) slots. On
-    the ideal engine every point is 0.5/0.5; on the real engine p0
-    climbs toward 1 at the wire's relaxation rate.
+    population has drifted back toward |0>. The slot commutes with `id`,
+    so engine.run applies all n + 1 slots of that circuit at its end;
+    here `h` runs once and each point applies them to a copy, so a
+    sweep costs O(n_max). On the ideal engine every point is 0.5/0.5; on
+    the real engine p0 climbs toward 1 at the wire's relaxation rate.
 
     shots=None records exact probabilities; otherwise each point is
     sampled with its own derived seed (seed XOR n).
@@ -274,12 +276,14 @@ def decoherence_sweep(
         raise ValueError(f"qubit {qubit} not on device '{device.name}'")
 
     wires = qubit + 1
-    idle = Circuit(wires, [Gate1(GateKind.ID, qubit)])
-    state = run(Circuit(wires, [Gate1(GateKind.H, qubit)]), processor, device)
+    probe = Circuit(wires, [Gate1(GateKind.H, qubit)])
+    equator = run(probe, processor, device, NoiseConfig.from_device(device, enabled=False))
+    slot = NoiseConfig.from_device(device).slot(wires) if processor == "real" else []
     points = []
     for n in range(n_max + 1):
-        if n:
-            state = run(idle, processor, device, initial=state)
+        state = equator.copy()
+        for q, gamma, lam in slot:
+            decohere(state, q, gamma, lam, slots=n + 1)
         if shots is None:
             probs = probabilities(state, [qubit])
             p0 = probs.get("0", 0.0)

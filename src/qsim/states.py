@@ -8,8 +8,12 @@ bitstrings read left to right as q0, q1, ...
 
 Gates are applied by strided pair updates over a state's flat buffer,
 never by building the dense 2^n x 2^n operator (a test-oracle-only
-construction). A density matrix is the 2n-wire register of its buffer,
-so both processors run the same gate kernels.
+construction). The update reads the shape of the 2x2 matrix: a diagonal
+gate scales the halves in place (the identity does nothing), an
+anti-diagonal one swaps them, and only a dense one needs the full
+formula. A density matrix is the 2n-wire register of its buffer, so
+both processors run the same gate kernels. The noise slots that the
+real processor charges to each gate are applied by engine.run, lazily.
 """
 
 from __future__ import annotations
@@ -120,11 +124,34 @@ def zero_density(num_qubits: int) -> DensityMatrix:
 
 
 def _pair_update(flat: np.ndarray, m: np.ndarray, pre: int, post: int) -> None:
-    """In-place 2x2 update over the (pre, 2, post) striding of `flat`."""
+    """In-place 2x2 update over the (pre, 2, post) striding of `flat`.
+
+    The kernel follows the shape of m. Diagonal: each half is scaled in
+    place, and a factor of 1 is skipped, so the identity does nothing.
+    Anti-diagonal: the halves swap, each times its phase. Dense: one copy
+    of the top half plus one scratch buffer. Each branch forms the same
+    products and sums as the dense formula, so only signed zeros differ.
+    """
     view = flat.reshape(pre, 2, post)
-    top = view[:, 0, :].copy()
-    view[:, 0, :] = m[0, 0] * top + m[0, 1] * view[:, 1, :]
-    view[:, 1, :] = m[1, 0] * top + m[1, 1] * view[:, 1, :]
+    top, bot = view[:, 0, :], view[:, 1, :]
+    (a, b), (c, d) = m.tolist()
+    if b == 0 and c == 0:
+        if a != 1:
+            top *= a
+        if d != 1:
+            bot *= d
+        return
+    saved = top.copy()
+    if a == 0 and d == 0:
+        np.multiply(bot, b, out=top)
+        np.multiply(saved, c, out=bot)
+        return
+    scratch = np.multiply(bot, b)
+    np.multiply(saved, a, out=top)
+    top += scratch
+    bot *= d
+    np.multiply(saved, c, out=scratch)
+    bot += scratch
 
 
 def _is_int(x) -> bool:

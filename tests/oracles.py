@@ -135,6 +135,13 @@ def random_pure_vec(rng, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_phase_unitary(rng, anti: bool) -> np.ndarray:
+    """A random diagonal unitary diag(p, r), or the anti-diagonal
+    [[0, p], [r, 0]] when `anti`, with p and r random unit phases."""
+    p, r = np.exp(2j * np.pi * rng.random(2))
+    return np.array([[0, p], [r, 0]] if anti else [[p, 0], [0, r]], dtype=complex)
+
+
 def random_density_mat(rng, n: int) -> np.ndarray:
     dim = 1 << n
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -1,11 +1,15 @@
 """Kraus channels and the noisy density-matrix engine."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.circuit import Circuit, DeviceModel, Gate1, MeasureZ, QubitNoise, parse
+from qsim import engine
+from qsim.circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, QubitNoise, parse
 from qsim.engine import run
 from qsim.errors import DeviceError, ValidationError
 from qsim.gates import GateKind, matrix_of
@@ -17,12 +21,27 @@ from qsim.noise import (
     decohere,
     dephasing,
 )
-from qsim.states import DensityMatrix, apply_1q, apply_cnot, zero_density, zero_state
+from qsim.states import (DensityMatrix, apply_1q, apply_cnot, reduced_density_1q,
+                         zero_density, zero_state)
 
 from oracles import apply_channel_dense, random_density_mat
 
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
 EDGE_RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+PHASE_KINDS = (GateKind.ID, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG)
+
+
+def single_slot(rho, n, q, gamma, lam):
+    """One slot on wire q in closed form, operation for operation as
+    decohere applies a single slot: the bit-exact reference for slots=1."""
+    out = rho.copy()
+    m = out.reshape(1 << q, 2, 1 << (n - 1 - q), 1 << q, 2, 1 << (n - 1 - q))
+    m[:, 0, :, :, 0] += gamma * m[:, 1, :, :, 1]
+    m[:, 1, :, :, 1] *= 1.0 - gamma
+    coherence = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * lam)
+    m[:, 0, :, :, 1] *= coherence
+    m[:, 1, :, :, 0] *= coherence
+    return out
 
 
 def toy_device(gamma_relax, gamma_phase=None, targets=(), tau=1e-7):
@@ -131,9 +150,27 @@ class TestApplyChannel:
         np.testing.assert_allclose(got, expected, atol=1e-12)
         assert np.array_equal(got, got.conj().T)
 
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data(), gamma=EDGE_RATES, lam=EDGE_RATES, slots=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_k_slots_are_k_single_slots(self, data, gamma, lam, slots, seed):
+        n = data.draw(st.integers(1, 4), label="n")
+        q = data.draw(st.integers(0, n - 1), label="q")
+        rho = random_density_mat(np.random.default_rng(seed), n)
+        one = decohere(DensityMatrix(n, rho.copy()), q, gamma, lam, slots=1).mat
+        assert np.array_equal(one, single_slot(rho, n, q, gamma, lam))
+        stepped = rho
+        for _ in range(slots):
+            stepped = single_slot(stepped, n, q, gamma, lam)
+        got = decohere(DensityMatrix(n, rho.copy()), q, gamma, lam, slots=slots).mat
+        np.testing.assert_allclose(got, stepped, rtol=0, atol=1e-12)
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             decohere(zero_density(1), 1, 0.1, 0.0)
+        for bad in (0, -1, 2.0, True):
+            with pytest.raises(ValueError, match="slots"):
+                decohere(zero_density(1), 0, 0.1, 0.0, slots=bad)
 
 
 class TestEvolveNoisy:
@@ -177,6 +214,39 @@ class TestEvolveNoisy:
         for _ in range(n_idles):
             ref = apply_channel_dense(ref, ops, 1, 0)  # id gate leaves ref alone
         np.testing.assert_allclose(rho.mat, ref, atol=1e-12)
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(3, 4), probe=st.integers(0, 3), gamma=st.floats(0.0, 0.02),
+           lam=st.floats(0.0, 0.01), length=st.integers(100, 600),
+           seed=st.integers(0, 2**32 - 1))
+    def test_long_phase_runs_match_closed_form(self, n, probe, gamma, lam, length, seed):
+        # h on the probe, then hundreds of id and phase gates on it while h and
+        # cx hit the other wires: the probe's slots are all deferred to one
+        # flush at the end, which must still give the C5 closed form
+        probe %= n
+        others = [w for w in range(n) if w != probe]
+        rng = np.random.default_rng(seed)
+        instrs = [Gate1(GateKind.H, probe)]
+        for _ in range(length):
+            r = rng.random()
+            if r < 0.6:
+                instrs.append(Gate1(PHASE_KINDS[int(rng.integers(len(PHASE_KINDS)))], probe))
+            elif r < 0.8:
+                instrs.append(Gate1(GateKind.H, others[int(rng.integers(len(others)))]))
+            else:
+                c, t = rng.choice(others, size=2, replace=False)
+                instrs.append(Cnot(int(c), int(t)))
+        device = toy_device([gamma] * n, [lam] * n, targets=range(n))
+        with mock.patch.object(engine, "decohere", wraps=decohere) as slot:
+            rho = run(Circuit(n, instrs), "real", device)
+        slots = len(instrs)
+        red = reduced_density_1q(rho, probe)
+        assert red[0, 0].real == pytest.approx(1 - (1 - gamma) ** slots / 2, abs=1e-12)
+        assert abs(red[0, 1]) == pytest.approx(
+            0.5 * math.sqrt(1 - gamma) ** slots * (1 - 2 * lam) ** slots, abs=1e-12)
+        if gamma or lam:
+            assert [c.args[1] for c in slot.call_args_list].count(probe) == 1
+            assert slot.call_count <= 2 * slots + n
 
     def test_large_idle_count_drives_p0_to_one_monotonically(self):
         gamma = 0.05

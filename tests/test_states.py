@@ -23,6 +23,7 @@ from oracles import (
     lift_1q,
     lift_cnot,
     random_density_mat,
+    random_phase_unitary,
     random_pure_vec,
     reduced_1q_brute_force,
     product_fit_distance,
@@ -32,6 +33,7 @@ from oracles import (
 H = matrix_of(GateKind.H)
 X = matrix_of(GateKind.X)
 Z = matrix_of(GateKind.Z)
+ID = matrix_of(GateKind.ID)
 
 SQRT1_2 = 1 / np.sqrt(2)
 
@@ -97,11 +99,14 @@ class TestApply1q:
         for _ in range(60):
             n = int(rng.integers(1, 4))
             q = int(rng.integers(n))
-            u = matrix_of(kinds[int(rng.integers(len(kinds)))])
             vec = random_pure_vec(rng, n)
-            expected = lift_1q(u, n, q) @ vec
-            got = apply_1q(PureState(n, vec.copy()), u, q)
-            np.testing.assert_allclose(got.amps, expected, atol=1e-12)
+            for u in (matrix_of(kinds[int(rng.integers(len(kinds)))]),
+                      random_phase_unitary(rng, anti=False),
+                      random_phase_unitary(rng, anti=True), ID):
+                expected = lift_1q(u, n, q) @ vec
+                got = apply_1q(PureState(n, vec.copy()), u, q)
+                np.testing.assert_allclose(got.amps, expected, atol=1e-12)
+            assert np.array_equal(got.amps, vec)  # id leaves the buffer alone
 
     def test_matches_dense_oracle_on_density_matrices(self):
         rng = np.random.default_rng(12)
@@ -109,12 +114,15 @@ class TestApply1q:
         for _ in range(40):
             n = int(rng.integers(1, 4))
             q = int(rng.integers(n))
-            u = matrix_of(kinds[int(rng.integers(len(kinds)))])
             rho = random_density_mat(rng, n)
-            big = lift_1q(u, n, q)
-            expected = big @ rho @ big.conj().T
-            got = apply_1q(DensityMatrix(n, rho.copy()), u, q)
-            np.testing.assert_allclose(got.mat, expected, atol=1e-12)
+            for u in (matrix_of(kinds[int(rng.integers(len(kinds)))]),
+                      random_phase_unitary(rng, anti=False),
+                      random_phase_unitary(rng, anti=True), ID):
+                big = lift_1q(u, n, q)
+                expected = big @ rho @ big.conj().T
+                got = apply_1q(DensityMatrix(n, rho.copy()), u, q)
+                np.testing.assert_allclose(got.mat, expected, atol=1e-12)
+            assert np.array_equal(got.mat, rho)  # id leaves the buffer alone
 
 
 class TestApplyCnot:
@@ -165,6 +173,9 @@ def test_density_gates_are_pure_gates_on_the_doubled_register(data):
     dim = 1 << n
     rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    shape = data.draw(st.sampled_from(["dense", "diagonal", "anti-diagonal"]), label="shape")
+    if shape != "dense":  # the kernels that skip the zero entries
+        u *= np.eye(2) if shape == "diagonal" else 1 - np.eye(2)
     q = data.draw(st.integers(0, n - 1), label="q")
     got = apply_1q(DensityMatrix(n, rho.copy()), u, q)
     doubled = apply_1q(apply_1q(PureState(2 * n, rho.reshape(-1).copy()), u, q),
