@@ -7,6 +7,8 @@ density-matrix engine with per-gate-slot amplitude damping and optional
 dephasing. Ships teleportation and idle-decay demo protocols and a CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .circuit import (
     BlochMeasure,
     Circuit,
@@ -74,58 +76,8 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellIndex",
-    "BlochMeasure",
-    "BlochVector",
-    "BranchReport",
-    "CapacityError",
-    "Circuit",
-    "Cnot",
-    "DensityMatrix",
-    "DeviceError",
-    "DeviceModel",
-    "Gate1",
-    "GateKind",
-    "Histogram",
-    "KrausChannel",
-    "MeasureZ",
-    "NoiseConfig",
-    "ParseError",
-    "PureState",
-    "QsimError",
-    "QubitNoise",
-    "SweepResult",
-    "TeleportResult",
-    "UntranspilableError",
-    "ValidationError",
-    "Violation",
-    "ViolationCode",
-    "amplitude_damping",
-    "apply_1q",
-    "apply_cnot",
-    "bell_state",
-    "bloch_measure",
-    "build_teleport_circuit",
-    "circuit_correction_table",
-    "correction_for",
-    "decoherence_sweep",
-    "default_device",
-    "dephasing",
-    "format_circuit",
-    "histogram_json_fields",
-    "is_separable",
-    "load_device",
-    "matrix_of",
-    "parse",
-    "probabilities",
-    "reduced_density_1q",
-    "retarget_cnots",
-    "run",
-    "run_teleport",
-    "sample",
-    "teleport_algebraic",
-    "validate",
-    "zero_density",
-    "zero_state",
-]
+# Every public name is the import block above: modules and _names aside.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

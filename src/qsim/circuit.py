@@ -12,16 +12,19 @@ lines ignored)::
 
 Measurement is terminal per qubit: once a wire is measured (either
 kind), no further gate may touch it. The validator reports that, plus
-device-level problems, as data rather than exceptions.
+device-level problems, as data rather than exceptions. On the real
+processor, which checks a circuit against a device, the whole register
+must fit the device, even wires that no instruction touches.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from importlib import resources
 from typing import Union
 
@@ -30,7 +33,12 @@ from .gates import GateKind
 
 MAX_QUBITS = 16
 
-_QUBIT_TOKEN = re.compile(r"^q(\d+)$")
+
+def _is_int(x) -> bool:
+    """The package's one integer rule, for wire indices, counts and seeds: a
+    Python or numpy integer, but not a bool (which indexes numpy as a mask)."""
+    # runs per gate and per noise wire: plain ints skip the ~0.7 us ABC lookup
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 @dataclass(frozen=True)
@@ -211,19 +219,22 @@ class Violation:
     message: str
 
 
-def _parse_qubit(token: str, num_qubits: int, line_no: int) -> int:
-    m = _QUBIT_TOKEN.match(token)
-    if not m:
-        raise ParseError(line_no, f"malformed qubit token {token!r} (expected q<i>)")
-    q = int(m.group(1))
-    if q >= num_qubits:
-        raise ParseError(
-            line_no, f"qubit q{q} out of range for declared size {num_qubits}"
-        )
-    return q
+# The grammar: each mnemonic's instruction constructor and operand count.
+_GRAMMAR = {
+    **{g.value: (partial(Gate1, g), 1) for g in GateKind},
+    "cx": (Cnot, 2),
+    "measure": (MeasureZ, 1),
+    "bloch": (BlochMeasure, 1),
+}
 
+# Its inverse, keyed as format_circuit looks an instruction up: a Gate1 by
+# its kind, any other instruction by its class.
+_MNEMONICS = {
+    make.args[0] if isinstance(make, partial) else make: mnemonic
+    for mnemonic, (make, _) in _GRAMMAR.items()
+}
 
-_MNEMONICS = {g.value: g for g in GateKind}
+_OPERANDS = {1: "one qubit operand", 2: "two qubit operands"}
 
 
 def parse(source: str, name: str = "") -> Circuit:
@@ -263,29 +274,24 @@ def parse(source: str, name: str = "") -> Circuit:
         if num_qubits is None:
             raise ParseError(line_no, "missing 'qubits <N>' header")
 
-        if mnemonic in _MNEMONICS:
-            if len(args) != 1:
-                raise ParseError(line_no, f"'{mnemonic}' expects one qubit operand")
-            q = _parse_qubit(args[0], num_qubits, line_no)
-            instrs.append(Gate1(_MNEMONICS[mnemonic], q))
-        elif mnemonic == "cx":
-            if len(args) != 2:
-                raise ParseError(line_no, "'cx' expects two qubit operands")
-            control = _parse_qubit(args[0], num_qubits, line_no)
-            target = _parse_qubit(args[1], num_qubits, line_no)
-            if control == target:
-                raise ParseError(line_no, "cx control and target must differ")
-            instrs.append(Cnot(control, target))
-        elif mnemonic == "measure":
-            if len(args) != 1:
-                raise ParseError(line_no, "'measure' expects one qubit operand")
-            instrs.append(MeasureZ(_parse_qubit(args[0], num_qubits, line_no)))
-        elif mnemonic == "bloch":
-            if len(args) != 1:
-                raise ParseError(line_no, "'bloch' expects one qubit operand")
-            instrs.append(BlochMeasure(_parse_qubit(args[0], num_qubits, line_no)))
-        else:
+        if mnemonic not in _GRAMMAR:
             raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
+        make, arity = _GRAMMAR[mnemonic]
+        if len(args) != arity:
+            raise ParseError(line_no, f"'{mnemonic}' expects {_OPERANDS[arity]}")
+        wires = []
+        for token in args:
+            if token[0] != "q" or not token[1:].isdecimal():
+                raise ParseError(line_no, f"malformed qubit token {token!r} (expected q<i>)")
+            q = int(token[1:])
+            if q >= num_qubits:
+                raise ParseError(
+                    line_no, f"qubit q{q} out of range for declared size {num_qubits}"
+                )
+            if q in wires:
+                raise ParseError(line_no, f"{mnemonic} control and target must differ")
+            wires.append(q)
+        instrs.append(make(*wires))
         lines.append(line_no)
 
     if num_qubits is None:
@@ -301,16 +307,13 @@ def format_circuit(circuit: Circuit) -> str:
     """
     out = [f"qubits {circuit.num_qubits}"]
     for instr in circuit.instrs:
-        if isinstance(instr, Gate1):
-            out.append(f"{instr.kind.value} q{instr.qubit}")
-        elif isinstance(instr, Cnot):
-            out.append(f"cx q{instr.control} q{instr.target}")
-        elif isinstance(instr, MeasureZ):
-            out.append(f"measure q{instr.qubit}")
-        elif isinstance(instr, BlochMeasure):
-            out.append(f"bloch q{instr.qubit}")
-        else:
+        mnemonic = _MNEMONICS.get(getattr(instr, "kind", type(instr)))
+        if mnemonic is None:
             raise TypeError(f"cannot format {type(instr).__name__}")
+        if isinstance(instr, Cnot):
+            out.append(f"{mnemonic} q{instr.control} q{instr.target}")
+        else:
+            out.append(f"{mnemonic} q{instr.qubit}")
     return "\n".join(out) + "\n"
 
 
@@ -319,15 +322,20 @@ def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violat
 
     Returns findings as data (empty list means runnable), in instruction
     order, and never raises on a well-typed circuit. Wire bounds, gate
-    kinds and terminal measurement are checked first; with a device,
-    wires must then fit the chip and every CNOT must point at an allowed
-    target. Either way the circuit needs at least one measurement.
+    kinds and terminal measurement are checked first; a wire index that
+    is not an integer in range is reported once and checked no further.
+    With a device, the register and its wires must then fit the chip and
+    every CNOT must point at an allowed target. Either way the circuit
+    needs at least one measurement.
     """
     found: list[Violation] = []
     measured: set[int] = set()
     for idx, instr in enumerate(circuit.instrs):
+        wires = []
         for q in instr.qubits:
-            if not 0 <= q < circuit.num_qubits:
+            if _is_int(q) and 0 <= q < circuit.num_qubits:
+                wires.append(q)
+            else:
                 found.append(Violation(
                     idx, ViolationCode.QUBIT_OUT_OF_RANGE,
                     f"q{q} out of range for {circuit.num_qubits}-qubit circuit",
@@ -338,7 +346,7 @@ def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violat
                 f"unknown gate kind {instr.kind!r}",
             ))
         is_gate = isinstance(instr, (Gate1, Cnot))
-        for q in instr.qubits:
+        for q in wires:
             if q in measured:
                 found.append(Violation(
                     idx, ViolationCode.GATE_AFTER_MEASURE,
@@ -346,22 +354,30 @@ def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violat
                     else f"q{q} measured twice",
                 ))
         if not is_gate:
-            measured.update(instr.qubits)
+            measured.update(wires)
         if device is not None:
-            for q in instr.qubits:
-                if 0 <= q < circuit.num_qubits and q >= device.num_qubits:
+            for q in wires:
+                if q >= device.num_qubits:
                     found.append(Violation(
                         idx, ViolationCode.QUBIT_OUT_OF_RANGE,
                         f"q{q} not present on {device.num_qubits}-qubit "
                         f"device '{device.name}'",
                     ))
-            if isinstance(instr, Cnot) and instr.target not in device.allowed_cnot_targets:
+            # only a target that passed the wire check above
+            if (isinstance(instr, Cnot) and instr.target in wires
+                    and instr.target not in device.allowed_cnot_targets):
                 allowed = ",".join(f"q{t}" for t in sorted(device.allowed_cnot_targets))
                 found.append(Violation(
                     idx, ViolationCode.CNOT_TARGET_FORBIDDEN,
                     f"cx may not target q{instr.target} on '{device.name}' "
                     f"(allowed targets: {allowed})",
                 ))
+    if device is not None and circuit.num_qubits > device.num_qubits:
+        found.append(Violation(
+            len(circuit.instrs), ViolationCode.QUBIT_OUT_OF_RANGE,
+            f"{circuit.num_qubits}-qubit register does not fit {device.num_qubits}-qubit "
+            f"device '{device.name}'",
+        ))
     if not measured:
         found.append(Violation(
             len(circuit.instrs), ViolationCode.NO_MEASUREMENT,

@@ -11,18 +11,18 @@ default device; --device overrides both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
 from .circuit import Circuit, DeviceModel, default_device, load_device, parse, validate
-from .engine import check, run
+from .engine import PROCESSORS, check, run
 from .errors import (
     CapacityError,
     DeviceError,
     ParseError,
-    UntranspilableError,
     ValidationError,
 )
 from .gates import GateKind
@@ -132,7 +132,7 @@ def cmd_simulate(args) -> int:
         return 1
     probs = probabilities(state, measured) if measured else {}
     hist = None
-    if not args.probabilities and measured:
+    if args.shots and measured:
         hist = sample(state, measured, args.shots, args.seed)
     bloch = {
         f"q{q}": bloch_measure(state, q) for q in circuit.bloch_qubits()
@@ -146,11 +146,7 @@ def cmd_simulate(args) -> int:
             **histogram_json_fields(probs, hist),
         }
         if bloch:
-            artifact["bloch"] = {
-                key: {"x": b.x, "y": b.y, "z": b.z, "theta": b.theta,
-                      "phi": b.phi, "purity_norm": b.purity_norm}
-                for key, b in sorted(bloch.items())
-            }
+            artifact["bloch"] = {key: dataclasses.asdict(b) for key, b in sorted(bloch.items())}
         text = json.dumps(artifact, indent=2) + "\n"
     elif args.fmt == "csv":
         text = _histogram_csv(probs, hist)
@@ -173,11 +169,10 @@ _PREPS = {"one": (GateKind.X,), "plus": (GateKind.H,)}
 
 def cmd_teleport(args) -> int:
     device = _resolve_device(args.device)
-    shots = None if args.probabilities else args.shots
     result = run_teleport(
         _PREPS[args.state],
         processor=args.processor,
-        shots=shots,
+        shots=args.shots,
         seed=args.seed,
         device=device,
     )
@@ -220,13 +215,12 @@ def cmd_sweep(args) -> int:
         sys.stderr.write(f"error: --n-max is capped at {MAX_SWEEP_POINTS}\n")
         return 2
     device = _resolve_device(args.device)
-    shots = None if args.probabilities else args.shots
     result = decoherence_sweep(
         args.qubit,
         args.n_max,
         processor=args.processor,
         device=device,
-        shots=shots,
+        shots=args.shots,
         seed=args.seed,
     )
     _emit(result.to_csv(), args.output)
@@ -238,9 +232,7 @@ def cmd_sweep(args) -> int:
 
 
 def _add_run_options(sub, default_processor: str) -> None:
-    sub.add_argument("--device", type=Path, default=None,
-                     help="device JSON (default: $QSIM_DEVICE or packaged)")
-    sub.add_argument("--processor", choices=("ideal", "real"),
+    sub.add_argument("--processor", choices=PROCESSORS,
                      default=default_processor)
     sub.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     sub.add_argument("--seed", type=int, default=0)
@@ -256,22 +248,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Small-register quantum circuit simulator with device "
         "constraints and an amplitude-damping noise model.",
     )
+    device = argparse.ArgumentParser(add_help=False)  # shared by every subcommand
+    device.add_argument("--device", type=Path, default=None,
+                        help="device JSON (default: $QSIM_DEVICE or packaged)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_val = sub.add_parser("validate", help="check a circuit file against a device")
+    p_val = sub.add_parser("validate", parents=[device],
+                           help="check a circuit file against a device")
     p_val.add_argument("circuit", type=Path)
-    p_val.add_argument("--device", type=Path, default=None,
-                       help="device JSON (default: $QSIM_DEVICE or packaged)")
     p_val.set_defaults(func=cmd_validate)
 
-    p_sim = sub.add_parser("simulate", help="run a circuit file")
+    p_sim = sub.add_parser("simulate", parents=[device], help="run a circuit file")
     p_sim.add_argument("circuit", type=Path)
     _add_run_options(p_sim, default_processor="ideal")
     p_sim.add_argument("--format", choices=("json", "csv", "ascii"),
                        default="json", dest="fmt")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_tel = sub.add_parser("teleport", help="run the built-in teleport demo")
+    p_tel = sub.add_parser("teleport", parents=[device], help="run the built-in teleport demo")
     p_tel.add_argument("--state", choices=sorted(_PREPS), required=True,
                        help="state loaded on wire 0: 'one' = X|0>, 'plus' = H|0>")
     _add_run_options(p_tel, default_processor="ideal")
@@ -279,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="ascii", dest="fmt")
     p_tel.set_defaults(func=cmd_teleport)
 
-    p_swp = sub.add_parser("sweep", help="idle-decay series on one qubit")
+    p_swp = sub.add_parser("sweep", parents=[device], help="idle-decay series on one qubit")
     p_swp.add_argument("--qubit", type=int, required=True)
     p_swp.add_argument("--n-max", type=int, required=True, dest="n_max")
     _add_run_options(p_swp, default_processor="real")
@@ -297,6 +291,8 @@ def main(argv=None) -> int:
     if getattr(args, "shots", 1) < 1:  # checked even with --probabilities
         sys.stderr.write("error: --shots must be >= 1\n")
         return 2
+    if getattr(args, "probabilities", False):
+        args.shots = None  # exact mode: no handler reads --probabilities
     try:
         return args.func(args)
     except ParseError as exc:
@@ -309,7 +305,7 @@ def main(argv=None) -> int:
         for v in exc.violations:
             sys.stderr.write(f"{v.code.value}: {v.message}\n")
         return 1
-    except (CapacityError, UntranspilableError) as exc:
+    except CapacityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except ValueError as exc:

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _check_qubit, _is_int, reduced_density_1q
+from .circuit import _is_int
+from .states import DensityMatrix, PureState, _check_qubit, reduced_density_1q
 
 RNG_ALGORITHM = "pcg64"
 

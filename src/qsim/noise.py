@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import DeviceModel
+from .circuit import DeviceModel, _is_int
 from .errors import DeviceError
-from .states import DensityMatrix, _check_qubit, _is_int
+from .states import DensityMatrix, _check_qubit
 
 COMPLETENESS_ATOL = 1e-10
 

@@ -18,12 +18,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, default_device
+from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, _is_int, default_device
 from .engine import run
 from .gates import GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
 from .noise import NoiseConfig, decohere
-from .states import PureState, _is_int
+from .states import PureState
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 

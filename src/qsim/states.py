@@ -18,11 +18,11 @@ real processor charges to each gate are applied by engine.run, lazily.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import _is_int
 from .errors import CapacityError
 
 MAX_PURE_QUBITS = 16
@@ -152,12 +152,6 @@ def _pair_update(flat: np.ndarray, m: np.ndarray, pre: int, post: int) -> None:
     bot *= d
     np.multiply(saved, c, out=scratch)
     bot += scratch
-
-
-def _is_int(x) -> bool:
-    """A Python or numpy integer, but not a bool (which indexes numpy as a mask)."""
-    # runs per gate and per noise wire: plain ints skip the ~0.7 us ABC lookup
-    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def _check_qubit(n: int, q: int) -> None:

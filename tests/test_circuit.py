@@ -24,7 +24,7 @@ from qsim.circuit import (
     validate,
 )
 from qsim.engine import run
-from qsim.errors import DeviceError, ParseError, UntranspilableError
+from qsim.errors import DeviceError, ParseError, UntranspilableError, ValidationError
 from qsim.gates import GateKind
 from qsim.states import PureState
 
@@ -124,6 +124,11 @@ class TestFormat:
     def test_round_trip_is_byte_identical_after_one_pass(self):
         canonical = format_circuit(parse(TELEPORT_TEXT))
         assert format_circuit(parse(canonical)) == canonical
+        # every mnemonic of the grammar, parsed and formatted
+        every = "qubits 3\n" + "".join(f"{g.value} q{i % 3}\n" for i, g in enumerate(GateKind))
+        every += "cx q0 q2\nmeasure q1\nbloch q2\n"
+        assert format_circuit(parse(every)) == every
+        assert len(parse(every).instrs) == len(GateKind) + 3
 
     def test_parse_format_parse_idempotent_on_generated_circuits(self):
         rng = np.random.default_rng(21)
@@ -227,6 +232,12 @@ class TestValidate:
         c = parse("qubits 6\nx q5\nmeasure q5\n")
         codes = {v.code for v in validate(c, default_device())}
         assert ViolationCode.QUBIT_OUT_OF_RANGE in codes
+        # the whole register must fit, even wires no instruction touches
+        c = parse("qubits 7\nh q0\ncx q0 q2\nmeasure q2\n")
+        found = validate(c, default_device())
+        assert [(v.index, v.code) for v in found] == [(3, ViolationCode.QUBIT_OUT_OF_RANGE)]
+        assert found[0].message == "7-qubit register does not fit 5-qubit device 'ibmqx-like'"
+        assert validate(c) == []
 
     def test_unknown_gate_kind_reported_not_raised(self):
         c = Circuit(1, [Gate1("bogus", 0), MeasureZ(0)])
@@ -234,9 +245,14 @@ class TestValidate:
         assert [v.code for v in found] == [ViolationCode.UNKNOWN_GATE]
 
     def test_out_of_range_index_reported_not_raised(self):
-        c = Circuit(2, [Gate1(GateKind.X, 5), MeasureZ(0)])
-        found = validate(c)
-        assert [v.code for v in found] == [ViolationCode.QUBIT_OUT_OF_RANGE]
+        # the kernels' rule: a Python or numpy integer in range, never a bool
+        for q in (5, -1, np.int64(2), 1.0, 0.5, True, False):
+            c = Circuit(2, [Gate1(GateKind.H, q), MeasureZ(1), MeasureZ(0)])
+            found = validate(c)
+            assert [(v.index, v.code) for v in found] == [(0, ViolationCode.QUBIT_OUT_OF_RANGE)]
+            with pytest.raises(ValidationError):
+                run(c)
+        assert validate(Circuit(2, [Gate1(GateKind.H, np.int64(1)), MeasureZ(np.int64(1))])) == []
 
     def test_validate_is_total_on_generated_circuits(self):
         from oracles import random_circuit
@@ -260,6 +276,7 @@ class TestValidate:
             (1, V.CNOT_TARGET_FORBIDDEN, "cx may not target q3 on 'toy3' (allowed targets: q0,q2)"),
             (2, V.QUBIT_OUT_OF_RANGE, "q7 out of range for 5-qubit circuit"),
             (2, V.UNKNOWN_GATE, "unknown gate kind 'zz'"),
+            (3, V.QUBIT_OUT_OF_RANGE, "5-qubit register does not fit 3-qubit device 'toy3'"),
         ]
 
 

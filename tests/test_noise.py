@@ -310,10 +310,12 @@ class TestEvolveNoisy:
         assert probs["1"] == pytest.approx(0.125, abs=1e-12)
 
     def test_rates_shorter_than_register_are_a_device_error(self):
-        # the device has 2 qubits; wire 2 exists but is never touched
+        # the device has 2 qubits; wire 2 exists but is never touched, and
+        # the validator refuses the register before any rates are read
         device = toy_device([0.1, 0.1], targets=(0, 1))
         circuit = parse("qubits 3\nh q0\nmeasure q0\n")
-        with pytest.raises(DeviceError, match="cover 2 qubits, register has 3"):
+        with pytest.raises(ValidationError, match="3-qubit register does not fit 2-qubit"):
             run(circuit, "real", device)
+        # a hand-built config can still be too short
         with pytest.raises(DeviceError, match="cover 1 qubits, register has 2"):
             NoiseConfig((0.1,), (0.0, 0.0)).slot(2)
