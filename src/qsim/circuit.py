@@ -283,7 +283,11 @@ def parse(source: str, name: str = "") -> Circuit:
         for token in args:
             if token[0] != "q" or not token[1:].isdecimal():
                 raise ParseError(line_no, f"malformed qubit token {token!r} (expected q<i>)")
-            q = int(token[1:])
+            digits = token[1:].lstrip("0") or "0"
+            if len(digits) > 9:  # out of range; and some builds refuse int() of 4300+ digits
+                raise ParseError(line_no, f"qubit q{digits[:9]}... ({len(digits)} digits) "
+                                 f"out of range for declared size {num_qubits}")
+            q = int(digits)
             if q >= num_qubits:
                 raise ParseError(
                     line_no, f"qubit q{q} out of range for declared size {num_qubits}"

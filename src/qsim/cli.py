@@ -3,9 +3,12 @@
 Subcommands: validate (device check), simulate (run a circuit file on
 the ideal or real processor), teleport (built-in demo), sweep (idle
 decay series). Exit codes: 0 success, 1 domain violation, 2 usage, I/O
-or parse problem. All output is byte-deterministic given the inputs and
-seed. The QSIM_DEVICE environment variable overrides the packaged
-default device; --device overrides both.
+or parse problem. Every validator refusal, an off-device --qubit too,
+prints one report on stdout (source lines for a circuit file, instruction
+indices for the built-in circuits) and exits 1; a negative --qubit or
+more --shots than an int64 holds exits 2. main reads the device
+($QSIM_DEVICE, else the packaged default; --device overrides both)
+before any circuit. Output is byte-deterministic given inputs and seed.
 """
 
 from __future__ import annotations
@@ -106,30 +109,22 @@ def _histogram_csv(probs: dict[str, float], hist: Histogram | None) -> str:
 
 def cmd_validate(args) -> int:
     circuit = parse(args.circuit.read_text(encoding="utf-8"), name=args.circuit.stem)
-    device = _resolve_device(args.device)
-    violations = validate(circuit, device)
-    if not violations:
-        sys.stdout.write(f"{args.circuit}: ok on device '{device.name}'\n")
-        return 0
-    sys.stdout.write(_violation_report(circuit, violations))
-    return 1
+    violations = validate(circuit, args.device)
+    if violations:
+        raise ValidationError(violations, circuit)
+    sys.stdout.write(f"{args.circuit}: ok on device '{args.device.name}'\n")
+    return 0
 
 
 def cmd_simulate(args) -> int:
     circuit = parse(args.circuit.read_text(encoding="utf-8"), name=args.circuit.stem)
-    device = _resolve_device(args.device)
 
     measured = circuit.measured_qubits()
     if not measured and not circuit.bloch_qubits():
         # run() evolves a circuit that measures nothing, but there is
         # nothing to report: refuse it here, with all its findings.
-        sys.stdout.write(_violation_report(circuit, check(circuit, args.processor, device)))
-        return 1
-    try:
-        state = run(circuit, args.processor, device)
-    except ValidationError as exc:
-        sys.stdout.write(_violation_report(circuit, exc.violations))
-        return 1
+        raise ValidationError(check(circuit, args.processor, args.device), circuit)
+    state = run(circuit, args.processor, args.device)
     probs = probabilities(state, measured) if measured else {}
     hist = None
     if args.shots and measured:
@@ -141,7 +136,7 @@ def cmd_simulate(args) -> int:
     if args.fmt == "json":
         artifact = {
             "circuit": circuit.name,
-            "device": device.name,
+            "device": args.device.name,
             "processor": args.processor,
             **histogram_json_fields(probs, hist),
         }
@@ -168,19 +163,18 @@ _PREPS = {"one": (GateKind.X,), "plus": (GateKind.H,)}
 
 
 def cmd_teleport(args) -> int:
-    device = _resolve_device(args.device)
     result = run_teleport(
         _PREPS[args.state],
         processor=args.processor,
         shots=args.shots,
         seed=args.seed,
-        device=device,
+        device=args.device,
     )
     if args.fmt == "json":
         artifact = {
             "state": args.state,
             "processor": args.processor,
-            "device": device.name,
+            "device": args.device.name,
             **histogram_json_fields(result.probabilities, result.histogram),
             "branches": [
                 {
@@ -196,7 +190,7 @@ def cmd_teleport(args) -> int:
     else:
         lines = [
             f"teleport of '{args.state}' on {args.processor} processor "
-            f"(device '{device.name}')\n",
+            f"(device '{args.device.name}')\n",
             _histogram_text(result.probabilities, result.histogram),
             "\nbranch  probability  correction  fidelity\n",
         ]
@@ -211,15 +205,11 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.n_max > MAX_SWEEP_POINTS:
-        sys.stderr.write(f"error: --n-max is capped at {MAX_SWEEP_POINTS}\n")
-        return 2
-    device = _resolve_device(args.device)
     result = decoherence_sweep(
         args.qubit,
         args.n_max,
         processor=args.processor,
-        device=device,
+        device=args.device,
         shots=args.shots,
         seed=args.seed,
     )
@@ -291,26 +281,26 @@ def main(argv=None) -> int:
     if getattr(args, "shots", 1) < 1:  # checked even with --probabilities
         sys.stderr.write("error: --shots must be >= 1\n")
         return 2
+    if getattr(args, "n_max", 0) > MAX_SWEEP_POINTS:
+        sys.stderr.write(f"error: --n-max is capped at {MAX_SWEEP_POINTS}\n")
+        return 2
     if getattr(args, "probabilities", False):
         args.shots = None  # exact mode: no handler reads --probabilities
     try:
+        args.device = _resolve_device(args.device)  # the handlers read the model
         return args.func(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except (DeviceError, OSError) as exc:
+    except (DeviceError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ValidationError as exc:
-        for v in exc.violations:
-            sys.stderr.write(f"{v.code.value}: {v.message}\n")
+        sys.stdout.write(_violation_report(exc.circuit, exc.violations))
         return 1
     except CapacityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

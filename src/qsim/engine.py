@@ -77,7 +77,7 @@ def run(
         if v.code is not ViolationCode.NO_MEASUREMENT
     ]
     if problems:
-        raise ValidationError(problems)
+        raise ValidationError(problems, circuit)
     n = circuit.num_qubits
     if initial is None:
         state = zero_density(n) if real else zero_state(n)

@@ -29,9 +29,10 @@ class UntranspilableError(QsimError):
 
 
 class ValidationError(QsimError):
-    """An engine refused a circuit; carries the validator findings."""
+    """A circuit was refused; carries the validator findings and the circuit."""
 
-    def __init__(self, violations):
+    def __init__(self, violations, circuit=None):
         self.violations = list(violations)
+        self.circuit = circuit
         detail = "; ".join(v.message for v in self.violations)
         super().__init__(detail or "circuit failed validation")

@@ -107,8 +107,8 @@ def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
     """
     if not _is_int(shots):
         raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots < 2**63:  # numpy draws an int64 count
+        raise ValueError(f"shots must be in 1..2**63-1, got {shots}")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     flat = marginal(state, measured)

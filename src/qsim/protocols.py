@@ -18,8 +18,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, _is_int, default_device
+from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, _is_int, default_device, validate
 from .engine import run
+from .errors import ValidationError
 from .gates import GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
 from .noise import NoiseConfig, decohere
@@ -264,19 +265,21 @@ def decoherence_sweep(
     the real engine p0 climbs toward 1 at the wire's relaxation rate.
 
     shots=None records exact probabilities; otherwise each point is
-    sampled with its own derived seed (seed XOR n).
+    sampled with its own derived seed (seed XOR n). On either processor
+    the probe must pass validate() on the device, else ValidationError.
     """
-    if not _is_int(qubit):
-        raise ValueError(f"qubit must be an integer, got {qubit!r}")
+    if not _is_int(qubit) or qubit < 0:
+        raise ValueError(f"qubit must be an integer >= 0, got {qubit!r}")
     if not _is_int(n_max) or n_max < 0:
         raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     if device is None:
         device = default_device()
-    if not 0 <= qubit < device.num_qubits:
-        raise ValueError(f"qubit {qubit} not on device '{device.name}'")
 
     wires = qubit + 1
-    probe = Circuit(wires, [Gate1(GateKind.H, qubit)])
+    probe = Circuit(wires, [Gate1(GateKind.H, qubit), MeasureZ(qubit)])
+    findings = validate(probe, device)
+    if findings:
+        raise ValidationError(findings, probe)
     equator = run(probe, processor, device, NoiseConfig.from_device(device, enabled=False))
     slot = NoiseConfig.from_device(device).slot(wires) if processor == "real" else []
     points = []

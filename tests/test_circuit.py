@@ -89,6 +89,15 @@ class TestParse:
         with pytest.raises(ParseError, match="out of range"):
             parse("qubits 2\nx q2\n")
 
+    def test_long_qubit_token_keeps_its_line(self):
+        # past Python's 4300-digit int() limit on builds that have one
+        with pytest.raises(ParseError, match="out of range for declared size 2") as exc:
+            parse("qubits 2\nh q" + "1" * 5000 + "\n")
+        assert exc.value.line == 2
+        assert len(str(exc.value)) < 200
+        c = parse("qubits 2\nh q" + "0" * 5000 + "1\n")  # leading zeros are no digits
+        assert c.instrs == [Gate1(GateKind.H, 1)]
+
     @pytest.mark.parametrize("token", ["0", "qx", "q", "q-1"])
     def test_malformed_qubit_token(self, token):
         with pytest.raises(ParseError, match="malformed qubit token"):

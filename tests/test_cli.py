@@ -7,6 +7,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsim.cli import main
 
@@ -200,7 +202,8 @@ class TestSweep:
         assert "p0 vs n" not in captured.out
 
     def test_qubit_off_device_is_usage_error(self, capsys):
-        assert main(["sweep", "--qubit", "9", "--n-max", "3"]) == 2
+        # an off-device wire is a validator finding (exit 1), as in `validate`
+        assert main(["sweep", "--qubit", "9", "--n-max", "3"]) == 1
 
     def test_n_max_cap(self, capsys):
         assert main(["sweep", "--qubit", "0", "--n-max", "201"]) == 2
@@ -245,6 +248,144 @@ def test_zero_shots_is_usage_error(argv, bell_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --shots must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "CIRCUIT"],
+    ["teleport", "--state", "one"],
+    ["sweep", "--qubit", "0", "--n-max", "2"],
+])
+def test_huge_shots_is_usage_error(argv, bell_file, capsys):
+    # numpy draws an int64 count; more shots than that is an argument error
+    argv = [str(bell_file) if a == "CIRCUIT" else a for a in argv]
+    assert main([*argv, "--shots", "99999999999999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: shots must be in 1..2**63-1, got 99999999999999999999\n")
+
+
+def _device_file(path: Path, num_qubits: int, targets: list[int]) -> Path:
+    path.write_text(json.dumps({
+        "name": path.stem,
+        "num_qubits": num_qubits,
+        "allowed_cnot_targets": targets,
+        "gate_time_tau_s": 1e-7,
+        "qubits": [{"gamma_relax": 0.01, "gamma_phase": 0.0}] * num_qubits,
+    }))
+    return path
+
+
+class TestRefusals:
+    """Every validator refusal is one report on stdout with exit 1."""
+
+    def test_teleport_report_cites_instructions(self, tmp_path, capsys):
+        dev = _device_file(tmp_path / "q0-only.json", 3, [0])
+        assert main(["teleport", "--state", "one", "--processor", "real",
+                     "--device", str(dev)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("instruction 2: CnotTargetForbidden: cx may not target q2")
+        assert lines[1].startswith("instruction 3: CnotTargetForbidden: cx may not target q2")
+
+    def test_register_beyond_density_engine(self, tmp_path, capsys):
+        dev = _device_file(tmp_path / "wide.json", 11, list(range(11)))
+        path = tmp_path / "wide.qc"
+        path.write_text("qubits 11\nh q0\nmeasure q10\n")
+        assert main(["simulate", str(path), "--processor", "real",
+                     "--device", str(dev)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: density engine supports 1..10 qubits, got 11\n"
+
+    def test_sweep_off_device_prints_the_probe_report(self, monkeypatch, capsys):
+        monkeypatch.delenv("QSIM_DEVICE", raising=False)
+        assert main(["sweep", "--qubit", "9", "--n-max", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "instruction 0: QubitOutOfRange: q9 not present on 5-qubit device 'ibmqx-like'\n"
+            "instruction 1: QubitOutOfRange: q9 not present on 5-qubit device 'ibmqx-like'\n"
+            "end of circuit: QubitOutOfRange: 10-qubit register does not fit "
+            "5-qubit device 'ibmqx-like'\n"
+        )
+
+    def test_sweep_negative_qubit_is_usage_error(self, capsys):
+        assert main(["sweep", "--qubit=-1", "--n-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: qubit must be an integer >= 0, got -1\n"
+
+    def test_bad_device_reported_before_bad_circuit(self, tmp_path, capsys):
+        dev = tmp_path / "broken.json"
+        dev.write_text("{")
+        path = tmp_path / "bad.qc"
+        path.write_text("qubits 2\nfoo q0\n")
+        for command in ("validate", "simulate"):
+            assert main([command, str(path), "--device", str(dev)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {dev}: ")
+
+
+# Any argv of the four subcommands ends in exit 0, 1 or 2 with no escaping
+# exception, and prints the same stdout when run again. Circuit text mixes
+# legal lines with malformed ones, forbidden cx targets (the packaged device
+# allows q2 only), wires beyond the register or the chip, and may measure nothing.
+def _circuit_text(n):
+    wire = st.integers(0, n - 1)
+    legal = st.one_of(
+        st.builds("{} q{}".format,
+                  st.sampled_from(["h", "x", "t", "id", "measure", "bloch"]), wire),
+        st.builds("cx q{} q{}".format, wire, wire).filter(lambda line: len(set(line.split())) == 3),
+    )
+    broken = st.sampled_from(["foo q0", f"h q{n}", "h qx", "cx q0", "qubits 2", "# note", ""])
+    readout = st.builds("measure q{}".format, wire)
+    return st.builds(lambda *parts: "\n".join([f"qubits {n}", *sum(parts, [])]) + "\n",
+                     st.lists(legal, max_size=8), st.lists(readout, max_size=2),
+                     st.lists(broken, max_size=1))
+
+
+_CIRCUITS = st.integers(1, 6).flatmap(_circuit_text)
+
+
+def _run_options(formats):
+    shots = st.one_of(st.integers(1, 4096), st.integers(2**63 - 2, 2**64), st.integers(-1, 0))
+    samples = st.one_of(shots.map(lambda n: [f"--shots={n}"]), st.just(["--probabilities"]))
+    return st.builds(
+        lambda processor, sampling, seed, fmt: [f"--processor={processor}", *sampling,
+                                                f"--seed={seed}", *fmt],
+        st.sampled_from(["ideal", "real"]), samples, st.integers(-1, 2**64),
+        st.sampled_from([[]] + [[f"--format={f}"] for f in formats]),
+    )
+
+
+_ARGV = st.one_of(
+    st.builds(lambda opts: ["simulate", "CIRCUIT", *opts], _run_options(["json", "csv", "ascii"])),
+    st.builds(lambda state, opts: ["teleport", f"--state={state}", *opts],
+              st.sampled_from(["one", "plus"]), _run_options(["json", "ascii"])),
+    st.builds(lambda q, n, opts, plot: ["sweep", f"--qubit={q}", f"--n-max={n}", *opts, *plot],
+              st.integers(-2, 12), st.integers(0, 60), _run_options([]),
+              st.sampled_from([[], ["--plot"]])),
+    st.just(["validate", "CIRCUIT"]),
+)
+
+
+@pytest.fixture(scope="module")
+def circuit_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-property") / "case.qc"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=_CIRCUITS, argv=_ARGV)
+def test_any_argv_exits_0_1_or_2_with_stable_stdout(circuit_path, text, argv):
+    circuit_path.write_text(text)
+    argv = [str(circuit_path) if a == "CIRCUIT" else a for a in argv]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("QSIM_DEVICE", raising=False)
+        first = _golden_run(argv)  # "exit <code>\n" + stdout
+        assert first.split("\n", 1)[0] in ("exit 0", "exit 1", "exit 2")
+        assert _golden_run(argv) == first
 
 
 # Byte-stable stdout: each case's exit code and stdout, as recorded in

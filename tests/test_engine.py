@@ -25,8 +25,10 @@ def test_measurement_markers_are_inert():
 
 
 def test_gate_after_measure_is_refused():
-    with pytest.raises(ValidationError):
-        run(parse("qubits 1\nmeasure q0\nx q0\n"))
+    circuit = parse("qubits 1\nmeasure q0\nx q0\n")
+    with pytest.raises(ValidationError) as info:
+        run(circuit)
+    assert info.value.circuit is circuit  # the CLI reports against it
 
 
 def test_ideal_engine_ignores_device_constraints():

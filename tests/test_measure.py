@@ -189,6 +189,9 @@ class TestSample:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):
             sample(plus_state(), [0], 0, seed=0)
+        with pytest.raises(ValueError, match="shots"):  # numpy's int64 count overflows
+            sample(plus_state(), [0], 2**63, seed=0)
+        assert sample(plus_state(), [0], 2**63 - 1, seed=0).shots == 2**63 - 1
         with pytest.raises(ValueError, match="shots must be an integer"):
             sample(plus_state(), [0], 10.5, seed=0)
         assert sample(plus_state(), [0], np.int64(10), seed=0).shots == 10

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qsim.circuit import Circuit, Gate1, MeasureZ, QubitNoise, default_device, validate
 from qsim.engine import PROCESSORS, run
+from qsim.errors import ValidationError
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import probabilities, sample
 from qsim.protocols import (
@@ -286,8 +287,15 @@ class TestDecoherenceSweep:
         assert (n, t) == ("0", "0.0")
 
     def test_qubit_must_be_on_device(self):
-        with pytest.raises(ValueError, match="not on device"):
+        with pytest.raises(ValidationError) as info:
             decoherence_sweep(7, 3, shots=None)
+        assert info.value.violations == validate(info.value.circuit, default_device())
+        assert info.value.circuit == Circuit(8, [Gate1(GateKind.H, 7), MeasureZ(7)])
+        for processor in PROCESSORS:
+            with pytest.raises(ValidationError, match="not present on 5-qubit device"):
+                decoherence_sweep(5, 3, processor=processor)
+        with pytest.raises(ValueError, match="qubit must be an integer"):
+            decoherence_sweep(-1, 3)
         with pytest.raises(ValueError, match="qubit must be an integer"):
             decoherence_sweep(1.5, 2)
         with pytest.raises(ValueError, match="qubit must be an integer"):
