@@ -10,6 +10,8 @@ lines ignored)::
     measure q<i>        computational-basis measurement
     bloch q<i>          single-qubit tomography marker
 
+<N> and <i> are written in ASCII digits 0-9 only.
+
 Measurement is terminal per qubit: once a wire is measured (either
 kind), no further gate may touch it. The validator reports that, plus
 device-level problems, as data rather than exceptions. On the real
@@ -235,6 +237,20 @@ _MNEMONICS = {
 }
 
 _OPERANDS = {1: "one qubit operand", 2: "two qubit operands"}
+_MAX_DIGITS = 9  # past any register; and some builds refuse int() of 4300+ digits
+
+
+def _digits(text: str) -> str | None:
+    """`text` without leading zeros when it is ASCII 0-9 only, else None:
+    no signs, underscores or other scripts' digits, which int() accepts."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    return text.lstrip("0") or "0"
+
+
+def _clip(text: str) -> str:
+    """`text`, cut short enough to quote in an error message."""
+    return text if len(text) <= 12 else f"{text[:9]}... ({len(text)} chars)"
 
 
 def parse(source: str, name: str = "") -> Circuit:
@@ -260,15 +276,14 @@ def parse(source: str, name: str = "") -> Circuit:
                 raise ParseError(line_no, "duplicate 'qubits' header")
             if len(args) != 1:
                 raise ParseError(line_no, "expected 'qubits <N>'")
-            try:
-                declared = int(args[0])
-            except ValueError:
-                raise ParseError(line_no, f"malformed qubit count {args[0]!r}") from None
-            if not 1 <= declared <= MAX_QUBITS:
+            digits = _digits(args[0])
+            if digits is None:
+                raise ParseError(line_no, f"malformed qubit count {_clip(args[0])!r}")
+            if len(digits) > _MAX_DIGITS or not 1 <= int(digits) <= MAX_QUBITS:
                 raise ParseError(
-                    line_no, f"qubit count must be 1..{MAX_QUBITS}, got {declared}"
+                    line_no, f"qubit count must be 1..{MAX_QUBITS}, got {_clip(digits)}"
                 )
-            num_qubits = declared
+            num_qubits = int(digits)
             continue
 
         if num_qubits is None:
@@ -281,17 +296,14 @@ def parse(source: str, name: str = "") -> Circuit:
             raise ParseError(line_no, f"'{mnemonic}' expects {_OPERANDS[arity]}")
         wires = []
         for token in args:
-            if token[0] != "q" or not token[1:].isdecimal():
-                raise ParseError(line_no, f"malformed qubit token {token!r} (expected q<i>)")
-            digits = token[1:].lstrip("0") or "0"
-            if len(digits) > 9:  # out of range; and some builds refuse int() of 4300+ digits
-                raise ParseError(line_no, f"qubit q{digits[:9]}... ({len(digits)} digits) "
-                                 f"out of range for declared size {num_qubits}")
+            digits = _digits(token[1:]) if token[0] == "q" else None
+            if digits is None:
+                raise ParseError(line_no,
+                                 f"malformed qubit token {_clip(token)!r} (expected q<i>)")
+            if len(digits) > _MAX_DIGITS or int(digits) >= num_qubits:
+                raise ParseError(line_no, f"qubit q{_clip(digits)} out of range "
+                                 f"for declared size {num_qubits}")
             q = int(digits)
-            if q >= num_qubits:
-                raise ParseError(
-                    line_no, f"qubit q{q} out of range for declared size {num_qubits}"
-                )
             if q in wires:
                 raise ParseError(line_no, f"{mnemonic} control and target must differ")
             wires.append(q)

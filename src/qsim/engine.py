@@ -13,6 +13,16 @@ with every gate on other wires and with diagonal gates on its own wire
 noisy wire and applies them as one `decohere(..., slots=k)` only before
 a non-diagonal gate or a cx touches the wire, and at the end of the
 run: at most two flushes per gate, plus one per noisy wire at the end.
+
+Diagonal gates are deferred the same way, on both processors. Each
+wire keeps one pending diag(a, d), the product of its diagonal gates
+since the last pass over it; a diagonal gate only multiplies into it.
+The next anti-diagonal gate on the wire absorbs it (U·D stays
+anti-diagonal), and it is applied as one pass before any other
+non-diagonal gate on the wire, before a cx that targets the wire, and
+at the end of the run. A cx leaves its control's phase pending, since
+the two commute, and so does a pending slot. The returned state is
+fully evolved.
 """
 
 from __future__ import annotations
@@ -90,6 +100,7 @@ def run(
     rates = {q: (gamma, lam) for q, gamma, lam in slot}
     flushed = dict.fromkeys(rates, 0)  # gate count at each noisy wire's last flush
     gates = 0
+    phases = {}  # wire -> its pending diagonal gate diag(a, d)
 
     def flush(*wires):
         for q in wires:
@@ -97,17 +108,33 @@ def run(
                 decohere(state, q, *rates[q], slots=gates - flushed[q])
                 flushed[q] = gates
 
+    def settle(q):
+        if q in phases:
+            a, d = phases.pop(q)
+            apply_1q(state, [[a, 0], [0, d]], q)
+
     for instr in circuit.instrs:
         if isinstance(instr, Gate1):
-            u = matrix_of(instr.kind)
-            if u[0, 1] or u[1, 0]:  # the slot commutes with diagonal gates only
-                flush(instr.qubit)
-            apply_1q(state, u, instr.qubit)
+            q = instr.qubit
+            (a, b), (c, d) = matrix_of(instr.kind).tolist()
+            if b == 0 and c == 0:
+                pa, pd = phases.get(q, (1, 1))
+                phases[q] = (a * pa, d * pd)
+            else:
+                flush(q)  # the slot commutes with diagonal gates only
+                if a == 0 and d == 0 and q in phases:  # U·D stays anti-diagonal
+                    pa, pd = phases.pop(q)
+                    b, c = b * pd, c * pa
+                settle(q)
+                apply_1q(state, [[a, b], [c, d]], q)
         elif isinstance(instr, Cnot):
             flush(instr.control, instr.target)
+            settle(instr.target)  # a diagonal on the control commutes with cx
             apply_cnot(state, instr.control, instr.target)
         else:
             continue  # measurement markers: no unitary, no slot
         gates += 1
     flush(*rates)
+    for q in list(phases):
+        settle(q)
     return state

@@ -4,7 +4,9 @@ Bitstring keys cover exactly the measured qubits in ascending index
 order, leftmost bit = lowest measured index, consistent with the global
 qubit-0-is-most-significant convention. `marginal` is the one place
 that validates measured wires and clips negative populations, and
-`sample` draws from it. Shot sampling uses numpy's PCG64 generator; the
+`sample` draws from it. Both build their bitstring keys in bulk
+(`_bit_keys`), one ASCII byte matrix for all kept indices, not one
+`format` call per entry. Shot sampling uses numpy's PCG64 generator; the
 algorithm identifier travels with every histogram so results are
 reproducible across platforms from (state, qubits, shots, seed) alone.
 """
@@ -83,18 +85,25 @@ def marginal(state, measured: Sequence[int]) -> np.ndarray:
     return flat
 
 
+def _bit_keys(indices: np.ndarray, width: int) -> list[str]:
+    """`format(i, f"0{width}b")` of every index, built as one ASCII byte
+    matrix (a row per index, most significant bit first) and decoded."""
+    chars = np.empty((len(indices), width), dtype=np.uint8)
+    for j in range(width):
+        chars[:, j] = (indices >> (width - 1 - j)) & 1
+    chars += ord("0")
+    return chars.view(f"S{width}").ravel().astype(str).tolist()
+
+
 def probabilities(state, measured: Sequence[int]) -> dict[str, float]:
     """Marginal Born-rule distribution over the measured qubits.
 
     The `marginal` vector as a map from fixed-width bitstring keys in
     ascending qubit order; keys below the weight floor are omitted.
     """
-    width = len(measured)
-    return {
-        format(i, f"0{width}b"): float(p)
-        for i, p in enumerate(marginal(state, measured))
-        if p >= _PROB_FLOOR
-    }
+    flat = marginal(state, measured)
+    keep = np.flatnonzero(flat >= _PROB_FLOOR)
+    return dict(zip(_bit_keys(keep, len(measured)), flat[keep].tolist()))
 
 
 def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
@@ -117,8 +126,8 @@ def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
     pvec /= pvec.sum()
     rng = np.random.default_rng(seed)
     drawn = rng.multinomial(shots, pvec)
-    width = len(measured)
-    counts = {format(int(i), f"0{width}b"): int(c) for i, c in zip(keep, drawn) if c > 0}
+    hit = np.flatnonzero(drawn)
+    counts = dict(zip(_bit_keys(keep[hit], len(measured)), drawn[hit].tolist()))
     return Histogram(shots=int(shots), counts=counts, seed=int(seed), rng=RNG_ALGORITHM)
 
 

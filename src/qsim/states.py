@@ -10,10 +10,12 @@ Gates are applied by strided pair updates over a state's flat buffer,
 never by building the dense 2^n x 2^n operator (a test-oracle-only
 construction). The update reads the shape of the 2x2 matrix: a diagonal
 gate scales the halves in place (the identity does nothing), an
-anti-diagonal one swaps them, and only a dense one needs the full
-formula. A density matrix is the 2n-wire register of its buffer, so
-both processors run the same gate kernels. The noise slots that the
-real processor charges to each gate are applied by engine.run, lazily.
+anti-diagonal one swaps them, a Hadamard-shaped one is a butterfly, and
+only another dense one needs the full formula. On the lowest wires the
+halves are walked transposed, so a gate costs about the same on every
+wire. A density matrix is the 2n-wire register of its buffer, so both
+processors run the same gate kernels. engine.run defers diagonal gates
+and the real processor's noise slots, and applies them lazily.
 """
 
 from __future__ import annotations
@@ -128,30 +130,44 @@ def _pair_update(flat: np.ndarray, m: np.ndarray, pre: int, post: int) -> None:
 
     The kernel follows the shape of m. Diagonal: each half is scaled in
     place, and a factor of 1 is skipped, so the identity does nothing.
-    Anti-diagonal: the halves swap, each times its phase. Dense: one copy
-    of the top half plus one scratch buffer. Each branch forms the same
-    products and sums as the dense formula, so only signed zeros differ.
+    Anti-diagonal: the halves swap, each times its phase. Hadamard-shaped
+    (a == b == c == -d): a butterfly, (top + bot)·a and (top - bot)·a,
+    with one scratch buffer. Dense: one copy of the top half plus one
+    scratch buffer. Only the butterfly rounds differently from the dense
+    formula; the other branches differ from it in signed zeros alone.
+
+    On a low wire (post < 16) the halves are walked as their transposed
+    (post, pre) views in C order, so every ufunc's inner loop runs over
+    the long pre axis instead of a run of 2 to 8 elements.
     """
     view = flat.reshape(pre, 2, post)
     top, bot = view[:, 0, :], view[:, 1, :]
+    if post < 16 and pre > post:
+        top, bot = top.T, bot.T
     (a, b), (c, d) = m.tolist()
     if b == 0 and c == 0:
         if a != 1:
-            top *= a
+            np.multiply(top, a, out=top, order="C")
         if d != 1:
-            bot *= d
+            np.multiply(bot, d, out=bot, order="C")
+        return
+    if a == b == c == -d:
+        diff = np.subtract(top, bot, order="C")
+        np.add(top, bot, out=top, order="C")
+        np.multiply(top, a, out=top, order="C")
+        np.multiply(diff, a, out=bot, order="C")
         return
     saved = top.copy()
     if a == 0 and d == 0:
-        np.multiply(bot, b, out=top)
-        np.multiply(saved, c, out=bot)
+        np.multiply(bot, b, out=top, order="C")
+        np.multiply(saved, c, out=bot, order="C")
         return
-    scratch = np.multiply(bot, b)
-    np.multiply(saved, a, out=top)
-    top += scratch
-    bot *= d
-    np.multiply(saved, c, out=scratch)
-    bot += scratch
+    scratch = np.multiply(bot, b, order="C")
+    np.multiply(saved, a, out=top, order="C")
+    np.add(top, scratch, out=top, order="C")
+    np.multiply(bot, d, out=bot, order="C")
+    np.multiply(saved, c, out=scratch, order="C")
+    np.add(bot, scratch, out=bot, order="C")
 
 
 def _check_qubit(n: int, q: int) -> None:

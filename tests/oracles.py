@@ -11,7 +11,7 @@ import numpy as np
 
 from qsim.circuit import Circuit, Cnot, Gate1, MeasureZ
 from qsim.gates import GateKind, matrix_of
-from qsim.measure import Histogram, probabilities
+from qsim.measure import _PROB_FLOOR, Histogram, marginal, probabilities
 
 SINGLE_KINDS = tuple(GateKind)
 
@@ -74,6 +74,14 @@ def marginal_brute_force(weights: np.ndarray, n: int, measured: list[int]) -> di
         key = "".join(str((i >> (n - 1 - q)) & 1) for q in qs)
         out[key] = out.get(key, 0.0) + float(w)
     return out
+
+
+def probabilities_by_format(state, measured) -> dict[str, float]:
+    """The probability map built key by key: `format` each marginal index
+    whose weight reaches the floor, in index order."""
+    width = len(measured)
+    return {format(i, f"0{width}b"): float(p)
+            for i, p in enumerate(marginal(state, measured)) if p >= _PROB_FLOOR}
 
 
 def sample_by_keys(state, measured, shots: int, seed: int) -> Histogram:

@@ -98,10 +98,29 @@ class TestParse:
         c = parse("qubits 2\nh q" + "0" * 5000 + "1\n")  # leading zeros are no digits
         assert c.instrs == [Gate1(GateKind.H, 1)]
 
-    @pytest.mark.parametrize("token", ["0", "qx", "q", "q-1"])
+    @pytest.mark.parametrize("token", ["0", "qx", "q", "q-1", "q+1", "q0_1", "q\u0661",
+                                       "q\u06f1", "q\uff11", pytest.param("q" + "x" * 5000, id="qxxx...")])
     def test_malformed_qubit_token(self, token):
-        with pytest.raises(ParseError, match="malformed qubit token"):
+        with pytest.raises(ParseError, match="malformed qubit token") as exc:
             parse(f"qubits 2\nx {token}\n")
+        assert exc.value.line == 2
+        assert len(str(exc.value)) < 200
+
+    @pytest.mark.parametrize("count", ["1_6", "+2", "\u0662", "\u0661\u0666", "\uff12",
+                                       "2.0", "0x2", pytest.param("x" * 5000, id="xxx...")])
+    def test_qubit_count_is_ascii_digits_only(self, count):
+        # int() accepts the first four; the grammar names ASCII 0-9 only
+        with pytest.raises(ParseError, match="malformed qubit count") as exc:
+            parse(f"qubits {count}\nh q0\n")
+        assert exc.value.line == 1
+        assert len(str(exc.value)) < 200
+
+    def test_long_qubit_count_gives_a_short_message(self):
+        with pytest.raises(ParseError, match="qubit count must be 1..16") as exc:
+            parse("qubits " + "1" * 5000 + "\n")
+        assert exc.value.line == 1
+        assert len(str(exc.value)) < 200
+        assert parse("qubits " + "0" * 5000 + "16\n").num_qubits == 16
 
     def test_wrong_operand_count(self):
         with pytest.raises(ParseError, match="one qubit operand"):

@@ -1,6 +1,8 @@
 """The interpreter: processor rules, start states, and agreement with
 the dense oracle on both processors."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 
 from qsim.circuit import (Circuit, Cnot, DeviceModel, Gate1, MeasureZ, QubitNoise,
                           default_device, parse)
+from qsim import engine
 from qsim.engine import PROCESSORS, run
 from qsim.errors import CapacityError, ValidationError
-from qsim.noise import amplitude_damping, dephasing
+from qsim.gates import GateKind, matrix_of
+from qsim.noise import amplitude_damping, decohere, dephasing
 from qsim.states import DensityMatrix, PureState
 
 from oracles import SINGLE_KINDS, evolve_dense, random_density_mat, random_pure_vec
@@ -93,6 +97,13 @@ def gates_on(n):
     return one | pair.map(lambda p: Cnot(*p))
 
 
+def _open_device(rates) -> DeviceModel:
+    """A device with every CNOT target allowed and one rate pair per wire."""
+    n = len(rates)
+    return DeviceModel("open", n, frozenset(range(n)), 1e-7,
+                       tuple(QubitNoise(g, lam) for g, lam in rates))
+
+
 @st.composite
 def noisy_circuits(draw):
     """A circuit of up to 4 wires, with measurements last, and one rate
@@ -101,16 +112,11 @@ def noisy_circuits(draw):
     instrs = draw(st.lists(gates_on(n), max_size=12))
     measured = draw(st.lists(st.integers(0, n - 1), unique=True))
     rates = draw(st.lists(st.tuples(RATES, RATES), min_size=n, max_size=n))
-    device = DeviceModel("open", n, frozenset(range(n)), 1e-7,
-                         tuple(QubitNoise(g, lam) for g, lam in rates))
-    return Circuit(n, instrs + [MeasureZ(q) for q in sorted(measured)]), device
+    return Circuit(n, instrs + [MeasureZ(q) for q in sorted(measured)]), _open_device(rates)
 
 
-@pytest.mark.parametrize("processor", PROCESSORS)
-@PROPERTY_SETTINGS
-@given(case=noisy_circuits(), seed=st.none() | st.integers(0, 2**32 - 1))
-def test_run_matches_dense_oracle(processor, case, seed):
-    circuit, device = case
+def _check_against_dense_oracle(processor, circuit, device, seed):
+    """run() on |0...0> (seed None) or a random start agrees with evolve_dense."""
     n = circuit.num_qubits
     rng = np.random.default_rng(seed)
     ground = np.eye(1 << n, dtype=complex)[0]
@@ -127,3 +133,56 @@ def test_run_matches_dense_oracle(processor, case, seed):
     expected = evolve_dense(circuit, start, slot)
     np.testing.assert_allclose(got.amps if processor == "ideal" else got.mat,
                                expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+@PROPERTY_SETTINGS
+@given(case=noisy_circuits(), seed=st.none() | st.integers(0, 2**32 - 1))
+def test_run_matches_dense_oracle(processor, case, seed):
+    _check_against_dense_oracle(processor, *case, seed)
+
+
+DIAGONAL_KINDS = tuple(k for k in SINGLE_KINDS
+                       if not (matrix_of(k)[0, 1] or matrix_of(k)[1, 0]))
+# what ends a run of diagonal gates on a wire: an anti-diagonal gate that
+# absorbs them, an h that needs them applied first, a cx with the wire as
+# target (applied first) or as control (they stay pending), or nothing
+FOLLOWERS = ("x", "y", "h", "cx target", "cx control", "none")
+
+
+@st.composite
+def phase_heavy_circuits(draw):
+    """A circuit of up to 4 wires built from blocks: a run of 1-4 diagonal
+    gates on one wire, then at most one follower touching that wire, so
+    that at least half of the gates are diagonal."""
+    n = draw(st.integers(1, 4))
+    wire = st.integers(0, n - 1)
+    followers = FOLLOWERS if n >= 2 else FOLLOWERS[:3] + FOLLOWERS[-1:]
+    instrs = []
+    for q, kinds, follower, other in draw(st.lists(st.tuples(
+            wire, st.lists(st.sampled_from(DIAGONAL_KINDS), min_size=1, max_size=4),
+            st.sampled_from(followers), wire), max_size=8)):
+        instrs += [Gate1(k, q) for k in kinds]
+        other = other if other != q else (q + 1) % n
+        if follower in ("x", "y", "h"):
+            instrs.append(Gate1(GateKind(follower), q))
+        elif follower == "cx target":
+            instrs.append(Cnot(other, q))
+        elif follower == "cx control":
+            instrs.append(Cnot(q, other))
+    rates = draw(st.lists(st.tuples(RATES, RATES), min_size=n, max_size=n))
+    return Circuit(n, instrs + [MeasureZ(q) for q in range(n)]), _open_device(rates)
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+@PROPERTY_SETTINGS
+@given(case=phase_heavy_circuits(), seed=st.none() | st.integers(0, 2**32 - 1))
+def test_deferred_phases_match_dense_oracle(processor, case, seed):
+    circuit, device = case
+    gates = [i for i in circuit.instrs if not isinstance(i, MeasureZ)]
+    diagonal = [i for i in gates if isinstance(i, Gate1) and i.kind in DIAGONAL_KINDS]
+    assert 2 * len(diagonal) >= len(gates)
+    with mock.patch.object(engine, "decohere", wraps=decohere) as slot:
+        _check_against_dense_oracle(processor, circuit, device, seed)
+    noisy = sum(1 for rate in device.qubits if rate.gamma_relax or rate.gamma_phase)
+    assert slot.call_count <= (2 * len(gates) + noisy if processor == "real" else 0)

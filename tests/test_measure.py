@@ -20,7 +20,13 @@ from qsim.measure import (
 )
 from qsim.states import DensityMatrix, PureState, apply_1q, apply_cnot, zero_density, zero_state
 
-from oracles import marginal_brute_force, random_density_mat, random_pure_vec, sample_by_keys
+from oracles import (
+    marginal_brute_force,
+    probabilities_by_format,
+    random_density_mat,
+    random_pure_vec,
+    sample_by_keys,
+)
 
 H = matrix_of(GateKind.H)
 
@@ -185,6 +191,32 @@ class TestSample:
         hist = sample(state, measured, shots, seed)
         assert hist == sample_by_keys(state, measured, shots, seed)
         assert set(hist.counts) <= set(probabilities(state, measured))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_bulk_keys_match_the_format_loop(self, n):
+        # byte for byte on every width: the same keys in the same order, str
+        # keys, float probabilities and int counts
+        rng = np.random.default_rng(n)
+        for density in (False, True) if n <= 6 else (False,):
+            shrink = rng.choice([1.0, 0.0, 1e-18], size=1 << n)  # some fall below the floor
+            shrink[0] = 1.0
+            if density:
+                mat = random_density_mat(rng, n) * np.sqrt(np.outer(shrink, shrink))
+                state = DensityMatrix(n, mat / np.trace(mat))
+            else:
+                vec = random_pure_vec(rng, n) * np.sqrt(shrink)
+                state = PureState(n, vec / np.linalg.norm(vec))
+            for measured in (list(range(n)), list(rng.permutation(n)[:rng.integers(1, n + 1)])):
+                probs = probabilities(state, measured)
+                expected = probabilities_by_format(state, measured)
+                assert list(probs.items()) == list(expected.items())
+                assert all(type(k) is str and type(p) is float for k, p in probs.items())
+                shots, seed = int(rng.integers(1, 10**5)), int(rng.integers(2**63))
+                hist = sample(state, measured, shots, seed)
+                drawn = sample_by_keys(state, measured, shots, seed)
+                assert hist == drawn
+                assert list(hist.counts.items()) == list(drawn.counts.items())
+                assert all(type(k) is str and type(c) is int for k, c in hist.counts.items())
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):

@@ -125,6 +125,47 @@ class TestApply1q:
             assert np.array_equal(got.mat, rho)  # id leaves the buffer alone
 
 
+KERNEL_SHAPES = ("identity", "diagonal", "anti-diagonal", "hadamard", "dense")
+
+
+def shaped_matrix(rng, shape: str) -> np.ndarray:
+    """A random 2x2 matrix that takes the kernel branch named `shape`. It
+    need not be unitary: the kernels never assume it."""
+    if shape == "identity":
+        return ID
+    if shape == "hadamard":  # a == b == c == -d, with a random complex scale
+        return complex(*rng.normal(size=2)) * np.array([[1, 1], [1, -1]])
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    if shape == "diagonal":
+        return u * np.eye(2)
+    return u * (1 - np.eye(2)) if shape == "anti-diagonal" else u
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_every_kernel_matches_the_dense_oracle_on_every_wire(data):
+    # Every wire, so both layouts run: low wires (post < 16) walk the
+    # transposed halves. Up to 8 wires for a statevector, and up to 5 for
+    # rho, whose column wires are the low wires of a 10-wire register.
+    density = data.draw(st.booleans(), label="density")
+    n = data.draw(st.integers(1, 5 if density else 8), label="n")
+    shape = data.draw(st.sampled_from(KERNEL_SHAPES), label="shape")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u = shaped_matrix(rng, shape)
+    start = random_density_mat(rng, n) if density else random_pure_vec(rng, n)
+    for q in range(n):
+        big = lift_1q(u, n, q)
+        if density:
+            got = apply_1q(DensityMatrix(n, start.copy()), u, q).mat
+            expected = big @ start @ big.conj().T
+        else:
+            got = apply_1q(PureState(n, start.copy()), u, q).amps
+            expected = big @ start
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        if shape == "identity":
+            assert np.array_equal(got, start)  # id leaves the buffer alone
+
+
 class TestApplyCnot:
     def test_flips_target_when_control_set(self):
         vec = np.zeros(4, dtype=complex)
