@@ -35,6 +35,20 @@ def lift_cnot(n: int, control: int, target: int) -> np.ndarray:
     return op
 
 
+def cnot_swap_by_axes(tensor: np.ndarray, control_axis: int, target_axis: int) -> None:
+    """The swap cx makes, indexed on the (2,) * wires tensor of a register:
+    the target-bit halves of the control = 1 slice trade places, in place."""
+    idx = [slice(None)] * tensor.ndim
+    idx[control_axis] = 1
+    idx[target_axis] = 0
+    lo = tuple(idx)
+    idx[target_axis] = 1
+    hi = tuple(idx)
+    tmp = tensor[lo].copy()
+    tensor[lo] = tensor[hi]
+    tensor[hi] = tmp
+
+
 def apply_channel_dense(rho: np.ndarray, kraus_ops, n: int, q: int) -> np.ndarray:
     """Lift each Kraus operator to the full register and sum K rho K†."""
     out = np.zeros_like(rho)

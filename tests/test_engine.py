@@ -15,7 +15,7 @@ from qsim.engine import PROCESSORS, run
 from qsim.errors import CapacityError, ValidationError
 from qsim.gates import GateKind, matrix_of
 from qsim.noise import amplitude_damping, decohere, dephasing
-from qsim.states import DensityMatrix, PureState
+from qsim.states import DensityMatrix, PureState, apply_1q
 
 from oracles import SINGLE_KINDS, evolve_dense, random_density_mat, random_pure_vec
 
@@ -144,25 +144,32 @@ def test_run_matches_dense_oracle(processor, case, seed):
 
 DIAGONAL_KINDS = tuple(k for k in SINGLE_KINDS
                        if not (matrix_of(k)[0, 1] or matrix_of(k)[1, 0]))
-# what ends a run of diagonal gates on a wire: an anti-diagonal gate that
-# absorbs them, an h that needs them applied first, a cx with the wire as
-# target (applied first) or as control (they stay pending), or nothing
+# the diagonal and the anti-diagonal kinds: every kind but h
+MONOMIAL_KINDS = tuple(k for k in SINGLE_KINDS
+                       if not (matrix_of(k)[0, 0] and matrix_of(k)[0, 1]))
+# what follows a run of diagonal gates on a wire: an anti-diagonal gate
+# that joins the pending monomial, an h that needs it applied first, a cx
+# with the wire as target (its diagonal factor applied first) or as
+# control (it stays pending), or nothing
 FOLLOWERS = ("x", "y", "h", "cx target", "cx control", "none")
+# what ends a run of monomials on a wire: h, or a cx either way round
+MONOMIAL_FOLLOWERS = ("h", "cx target", "cx control", "none")
 
 
 @st.composite
-def phase_heavy_circuits(draw):
-    """A circuit of up to 4 wires built from blocks: a run of 1-4 diagonal
-    gates on one wire, then at most one follower touching that wire, so
-    that at least half of the gates are diagonal."""
+def run_blocks(draw, kinds, followers):
+    """A circuit of up to 4 wires built from blocks: a run of 1-4 gates of
+    `kinds` on one wire, then at most one follower touching that wire, so
+    that at least half of the gates are of `kinds`."""
     n = draw(st.integers(1, 4))
     wire = st.integers(0, n - 1)
-    followers = FOLLOWERS if n >= 2 else FOLLOWERS[:3] + FOLLOWERS[-1:]
+    if n == 1:
+        followers = tuple(f for f in followers if not f.startswith("cx"))
     instrs = []
-    for q, kinds, follower, other in draw(st.lists(st.tuples(
-            wire, st.lists(st.sampled_from(DIAGONAL_KINDS), min_size=1, max_size=4),
+    for q, run_kinds, follower, other in draw(st.lists(st.tuples(
+            wire, st.lists(st.sampled_from(kinds), min_size=1, max_size=4),
             st.sampled_from(followers), wire), max_size=8)):
-        instrs += [Gate1(k, q) for k in kinds]
+        instrs += [Gate1(k, q) for k in run_kinds]
         other = other if other != q else (q + 1) % n
         if follower in ("x", "y", "h"):
             instrs.append(Gate1(GateKind(follower), q))
@@ -174,15 +181,76 @@ def phase_heavy_circuits(draw):
     return Circuit(n, instrs + [MeasureZ(q) for q in range(n)]), _open_device(rates)
 
 
-@pytest.mark.parametrize("processor", PROCESSORS)
-@PROPERTY_SETTINGS
-@given(case=phase_heavy_circuits(), seed=st.none() | st.integers(0, 2**32 - 1))
-def test_deferred_phases_match_dense_oracle(processor, case, seed):
-    circuit, device = case
+def _check_blocks(processor, circuit, device, seed, kinds):
+    """The dense-oracle check, plus the bound on physical slot flushes."""
     gates = [i for i in circuit.instrs if not isinstance(i, MeasureZ)]
-    diagonal = [i for i in gates if isinstance(i, Gate1) and i.kind in DIAGONAL_KINDS]
-    assert 2 * len(diagonal) >= len(gates)
+    of_kinds = [i for i in gates if isinstance(i, Gate1) and i.kind in kinds]
+    assert 2 * len(of_kinds) >= len(gates)
     with mock.patch.object(engine, "decohere", wraps=decohere) as slot:
         _check_against_dense_oracle(processor, circuit, device, seed)
     noisy = sum(1 for rate in device.qubits if rate.gamma_relax or rate.gamma_phase)
     assert slot.call_count <= (2 * len(gates) + noisy if processor == "real" else 0)
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+@PROPERTY_SETTINGS
+@given(case=run_blocks(DIAGONAL_KINDS, FOLLOWERS), seed=st.none() | st.integers(0, 2**32 - 1))
+def test_deferred_phases_match_dense_oracle(processor, case, seed):
+    _check_blocks(processor, *case, seed, DIAGONAL_KINDS)
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+@PROPERTY_SETTINGS
+@given(case=run_blocks(MONOMIAL_KINDS, MONOMIAL_FOLLOWERS),
+       seed=st.none() | st.integers(0, 2**32 - 1))
+def test_pending_monomials_match_dense_oracle(processor, case, seed):
+    _check_blocks(processor, *case, seed, MONOMIAL_KINDS)
+
+
+@pytest.mark.parametrize("text", [
+    "s q0\nx q0\ns q0\nh q0\n",  # i·X pending before h: the i must survive
+    "x q0\ncx q0 q1\n",  # a flip pending on the control reaches the target
+])
+def test_pending_flip_keeps_every_amplitude(text):
+    circuit = parse("qubits 2\n" + text)
+    expected = evolve_dense(circuit, np.eye(4, dtype=complex)[0])
+    np.testing.assert_allclose(run(circuit).amps, expected, rtol=0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(instrs=st.lists(st.builds(Gate1, st.sampled_from(MONOMIAL_KINDS), st.integers(0, 3)),
+                       max_size=40))
+def test_monomial_gates_make_at_most_one_pass_per_wire(instrs):
+    with mock.patch.object(engine, "apply_1q", wraps=apply_1q) as kernel:
+        run(Circuit(4, instrs))
+    wires = [c.args[2] for c in kernel.call_args_list]
+    assert len(wires) == len(set(wires))
+
+
+def test_flip_twice_makes_no_pass():
+    with mock.patch.object(engine, "apply_1q", wraps=apply_1q) as kernel:
+        run(parse("qubits 1\nx q0\nx q0\n"))
+    assert kernel.call_count == 0
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+def test_run_restores_the_ufunc_buffer_size(processor):
+    circuit = parse("qubits 3\nh q0\ncx q0 q2\nx q2\nh q2\nmeasure q0\nmeasure q2\n")
+    seen = []
+
+    def kernel(state, u, q):
+        seen.append(np.getbufsize())
+        return apply_1q(state, u, q)
+
+    old = np.setbufsize(2 * 8192)  # not numpy's default, so a reset to it shows
+    try:
+        with mock.patch.object(engine, "apply_1q", side_effect=kernel):
+            run(circuit, processor)
+        assert np.getbufsize() == 2 * 8192
+        assert seen and set(seen) == {engine.UFUNC_BUFSIZE}
+        with mock.patch.object(engine, "apply_1q", side_effect=RuntimeError("kernel")):
+            with pytest.raises(RuntimeError, match="kernel"):
+                run(circuit, processor)
+        assert np.getbufsize() == 2 * 8192
+    finally:
+        np.setbufsize(old)

@@ -20,6 +20,7 @@ from qsim.states import (
 )
 
 from oracles import (
+    cnot_swap_by_axes,
     lift_1q,
     lift_cnot,
     random_density_mat,
@@ -201,6 +202,28 @@ class TestApplyCnot:
             expected = big @ rho @ big.conj().T
             got = apply_cnot(DensityMatrix(n, rho.copy()), int(c), int(t))
             np.testing.assert_allclose(got.mat, expected, atol=1e-12)
+
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_the_swap_on_the_bit_tensor(self, n):
+        # the (pre, 2, mid, 2, post) swap moves the same elements as the one
+        # indexed on the (2,) * wires tensor, on every ordered wire pair
+        rng = np.random.default_rng(n)
+        vec = random_pure_vec(rng, n)
+        rho = random_density_mat(rng, n)
+        for c in range(n):
+            for t in range(n):
+                if c == t:
+                    continue
+                expected = vec.copy()
+                cnot_swap_by_axes(expected.reshape((2,) * n), c, t)
+                got = apply_cnot(PureState(n, vec.copy()), c, t)
+                assert np.array_equal(got.amps, expected)
+                expected = rho.copy()
+                for off in (0, n):
+                    cnot_swap_by_axes(expected.reshape((2,) * (2 * n)), off + c, off + t)
+                got = apply_cnot(DensityMatrix(n, rho.copy()), c, t)
+                assert np.array_equal(got.mat, expected)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
