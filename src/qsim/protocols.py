@@ -261,7 +261,8 @@ def decoherence_sweep(
     population has drifted back toward |0>. The slot commutes with `id`,
     so engine.run applies all n + 1 slots of that circuit at its end;
     here `h` runs once and each point applies them to a copy, so a
-    sweep costs O(n_max). On the ideal engine every point is 0.5/0.5; on
+    sweep costs O(n_max). Only the probe wire is charged: wires 0..q-1
+    stay |0><0|, the slot's fixed point. On the ideal engine every point is 0.5/0.5; on
     the real engine p0 climbs toward 1 at the wire's relaxation rate.
 
     shots=None records exact probabilities; otherwise each point is
@@ -282,6 +283,7 @@ def decoherence_sweep(
         raise ValidationError(findings, probe)
     equator = run(probe, processor, device, NoiseConfig.from_device(device, enabled=False))
     slot = NoiseConfig.from_device(device).slot(wires) if processor == "real" else []
+    slot = [s for s in slot if s[0] == qubit]  # the slot leaves the |0><0| wires as they are
     points = []
     for n in range(n_max + 1):
         state = equator.copy()

@@ -22,6 +22,12 @@ view of its wires. A density matrix is the 2n-wire register of its
 buffer, so both processors run the same gate kernels. engine.run defers
 diagonal and anti-diagonal gates and the real processor's noise slots,
 and applies them lazily.
+
+engine.run also keeps only the wires that have left |0> in its buffer.
+`embed(state, wires, new_wires)` widens a state held on the ascending
+wire labels `wires` to the superset `new_wires`, with |0> on each added
+wire: it allocates zeros and assigns the old buffer to one strided
+slice, so the bit order above holds within the buffer, among its wires.
 """
 
 from __future__ import annotations
@@ -108,12 +114,20 @@ class DensityMatrix:
         return float(np.trace(self.mat).real)
 
 
+def check_capacity(kind: type, num_qubits: int) -> None:
+    """Refuse a register of `num_qubits` wires that the engine holding
+    `kind` (PureState or DensityMatrix) cannot run."""
+    limit, engine = ((MAX_PURE_QUBITS, "statevector") if kind is PureState
+                     else (MAX_DENSITY_QUBITS, "density"))
+    if not 1 <= num_qubits <= limit:
+        raise CapacityError(
+            f"{engine} engine supports 1..{limit} qubits, got {num_qubits}"
+        )
+
+
 def zero_state(num_qubits: int) -> PureState:
     """|0...0> on the given number of qubits."""
-    if not 1 <= num_qubits <= MAX_PURE_QUBITS:
-        raise CapacityError(
-            f"statevector engine supports 1..{MAX_PURE_QUBITS} qubits, got {num_qubits}"
-        )
+    check_capacity(PureState, num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[0] = 1.0
     return PureState(num_qubits, amps)
@@ -121,10 +135,7 @@ def zero_state(num_qubits: int) -> PureState:
 
 def zero_density(num_qubits: int) -> DensityMatrix:
     """|0...0><0...0| on the given number of qubits."""
-    if not 1 <= num_qubits <= MAX_DENSITY_QUBITS:
-        raise CapacityError(
-            f"density engine supports 1..{MAX_DENSITY_QUBITS} qubits, got {num_qubits}"
-        )
+    check_capacity(DensityMatrix, num_qubits)
     dim = 1 << num_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     mat[0, 0] = 1.0
@@ -192,6 +203,29 @@ def _register(state) -> tuple[np.ndarray, int, tuple[int, ...]]:
         n = state.num_qubits
         return state.mat.reshape(-1), 2 * n, (0, n)
     raise TypeError(f"cannot apply gates to {type(state).__name__}")
+
+
+def embed(state, wires, new_wires):
+    """`state`, whose buffer holds `wires`, placed on `new_wires` with |0>
+    on every wire of `new_wires` that `wires` lacks; a new state of the
+    same kind. Both lists are ascending circuit wire labels, `wires` a
+    subset of `new_wires`; a buffer position is an index into its list.
+
+    It allocates zeros and assigns the old buffer to the one strided
+    slice where every added wire is 0, on rows and columns of a density
+    matrix alike, so the (2,) * wires view stays within numpy's 32 axes
+    at both capacity caps.
+    """
+    flat, k, copies = _register(state)
+    new_wires = list(new_wires)
+    if list(wires) != [w for w in new_wires if w in wires] or len(wires) != k // len(copies):
+        raise ValueError(f"cannot place the wires {list(wires)} of a "
+                         f"{k // len(copies)}-wire buffer on {new_wires}")
+    index = tuple(slice(None) if w in wires else 0 for w in new_wires) * len(copies)
+    out = np.zeros((2,) * len(index), dtype=complex)
+    out[index] = flat.reshape((2,) * k)
+    dim = 1 << len(new_wires)
+    return type(state)(len(new_wires), out.reshape((dim,) * len(copies)))
 
 
 def apply_1q(state, u: np.ndarray, q: int):

@@ -7,8 +7,12 @@ of it shares code with the strided kernels it checks.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 
+from qsim import engine
 from qsim.circuit import Circuit, Cnot, Gate1, MeasureZ
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import _PROB_FLOOR, Histogram, marginal, probabilities
@@ -78,6 +82,30 @@ def evolve_dense(circuit: Circuit, start: np.ndarray, slot=()) -> np.ndarray:
         for q, ops in slot:
             state = apply_channel_dense(state, ops, n, q)
     return state
+
+
+@contextmanager
+def engine_calls(name: str, arg: int):
+    """Spy on engine.<name> (a kernel or decohere) and yield the list of
+    its calls as (circuit wire, call args). engine.run passes buffer
+    positions: argument `arg` indexes the wires that engine.embed placed
+    last, ascending, or every wire when nothing was placed yet (a run
+    from an initial state)."""
+    calls, placed = [], [None]
+    embed, target = engine.embed, getattr(engine, name)
+
+    def spy_embed(state, wires, new_wires):
+        placed[0] = list(new_wires)
+        return embed(state, wires, new_wires)
+
+    def spy(*args, **kwargs):
+        p = args[arg]
+        calls.append((p if placed[0] is None else placed[0][p], args))
+        return target(*args, **kwargs)
+
+    with mock.patch.object(engine, "embed", side_effect=spy_embed), \
+            mock.patch.object(engine, name, side_effect=spy):
+        yield calls
 
 
 def marginal_brute_force(weights: np.ndarray, n: int, measured: list[int]) -> dict[str, float]:

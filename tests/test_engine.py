@@ -17,7 +17,8 @@ from qsim.gates import GateKind, matrix_of
 from qsim.noise import amplitude_damping, decohere, dephasing
 from qsim.states import DensityMatrix, PureState, apply_1q
 
-from oracles import SINGLE_KINDS, evolve_dense, random_density_mat, random_pure_vec
+from oracles import (SINGLE_KINDS, engine_calls, evolve_dense, random_density_mat,
+                     random_pure_vec)
 
 BELL_TEXT = "qubits 2\nh q0\ncx q0 q1\nmeasure q0\nmeasure q1\n"
 
@@ -70,18 +71,27 @@ def test_initial_state_size_must_match():
 
 
 def test_sixteen_qubit_register_runs():
+    # only the last wire leaves |0>: embed places it on all 16 at the end
     state = run(parse("qubits 16\nh q15\nmeasure q15\n"))
-    assert state.amps.size == 1 << 16
-    assert state.norm() == pytest.approx(1.0, abs=1e-10)
+    expected = np.zeros(1 << 16, dtype=complex)
+    expected[:2] = matrix_of(GateKind.H)[:, 0]
+    np.testing.assert_array_equal(state.amps, expected)
 
 
 def test_density_capacity_cap():
-    text = "qubits 11\n" + "".join(f"id q{i}\n" for i in range(11)) + "measure q0\n"
-    from qsim.circuit import DeviceModel, QubitNoise
+    # 10 density wires, the 20 axes of embed's view, with only q9 touched
+    gamma, lam = 0.1, 0.05
+    device = _open_device([(gamma, lam)] * 10)
+    rho = run(parse("qubits 10\nh q9\nmeasure q9\n"), "real", device)
+    expected = np.zeros((1 << 10, 1 << 10), dtype=complex)
+    coherence = 0.5 * np.sqrt(1 - gamma) * (1 - 2 * lam)
+    expected[:2, :2] = [[1 - (1 - gamma) / 2, coherence], [coherence, (1 - gamma) / 2]]
+    np.testing.assert_allclose(rho.mat, expected, rtol=0, atol=1e-15)
 
+    text = "qubits 11\n" + "".join(f"id q{i}\n" for i in range(11)) + "measure q0\n"
     wide = DeviceModel("wide", 11, frozenset({2}), 1e-7,
                        tuple(QubitNoise(0.0, 0.0) for _ in range(11)))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"density engine supports 1\.\.10 qubits, got 11"):
         run(parse(text), processor="real", device=wide)
 
 
@@ -221,9 +231,9 @@ def test_pending_flip_keeps_every_amplitude(text):
 @given(instrs=st.lists(st.builds(Gate1, st.sampled_from(MONOMIAL_KINDS), st.integers(0, 3)),
                        max_size=40))
 def test_monomial_gates_make_at_most_one_pass_per_wire(instrs):
-    with mock.patch.object(engine, "apply_1q", wraps=apply_1q) as kernel:
+    with engine_calls("apply_1q", 2) as kernel:
         run(Circuit(4, instrs))
-    wires = [c.args[2] for c in kernel.call_args_list]
+    wires = [wire for wire, _ in kernel]
     assert len(wires) == len(set(wires))
 
 
@@ -254,3 +264,72 @@ def test_run_restores_the_ufunc_buffer_size(processor):
         assert np.getbufsize() == 2 * 8192
     finally:
         np.setbufsize(old)
+
+
+@st.composite
+def late_wire_circuits(draw, max_wires):
+    """A circuit whose wires leave |0> late: block k reaches only the
+    first `awake` wires of a random order, with `awake` growing from block
+    to block, so the others idle in |0> for long stretches. x and y are
+    drawn often, so flips pend on wires still in |0> at a flush and at the
+    end, and cx pairs often meet a control or target still in |0>."""
+    n = draw(st.integers(2, max_wires))
+    order = draw(st.permutations(range(n)))
+    kinds = st.sampled_from([GateKind.X, GateKind.Y]) | st.sampled_from(SINGLE_KINDS)
+    instrs = []
+    for awake in sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=5))):
+        wire = st.sampled_from(order[:awake])
+        one = st.builds(Gate1, kinds, wire)
+        pair = st.lists(st.sampled_from(order[:awake + 1]), min_size=2, max_size=2, unique=True)
+        instrs += draw(st.lists(one | pair.map(lambda p: Cnot(*p)), max_size=6))
+    rate = st.just((0.0, 0.0)) | st.tuples(RATES, RATES)  # noiseless wires keep their flips
+    rates = draw(st.lists(rate, min_size=n, max_size=n))
+    return Circuit(n, instrs), _open_device(rates)
+
+
+@pytest.mark.parametrize("processor, max_wires", [("ideal", 9), ("real", 6)])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_wires_in_zero_match_the_all_active_run(processor, max_wires, data):
+    circuit, device = data.draw(late_wire_circuits(max_wires))
+    n = circuit.num_qubits
+    ground = np.eye(1 << n, dtype=complex)[0]
+    if processor == "ideal":
+        initial, read = PureState(n, ground), (lambda s: s.amps)
+    else:
+        initial, read = DensityMatrix(n, np.outer(ground, ground)), (lambda s: s.mat)
+    with engine_calls("decohere", 1) as slot:
+        _check_against_dense_oracle(processor, circuit, device, None)
+    noisy = sum(1 for rate in device.qubits if rate.gamma_relax or rate.gamma_phase)
+    assert len(slot) <= (2 * len(circuit.instrs) + noisy if processor == "real" else 0)
+    np.testing.assert_allclose(read(run(circuit, processor, device)),
+                               read(run(circuit, processor, device, initial=initial)),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("text", [
+    "h q1\nx q0\ncx q0 q1\n",  # the flip reaches q1 after the slots q1 has pending
+    "x q0\ny q0\nh q1\n",  # diag(-i, i) on q0 in |0>: rho picks up -i and i
+])
+def test_noiseless_wire_in_zero_on_the_real_processor(text):
+    device = _open_device([(0.0, 0.0), (0.3, 0.1)])
+    _check_against_dense_oracle("real", parse("qubits 2\n" + text), device, None)
+
+
+def test_one_touched_wire_is_a_one_wire_buffer():
+    device = _open_device([(0.01, 0.02)] * 10)
+    with engine_calls("apply_1q", 2) as kernel, engine_calls("decohere", 1) as slot:
+        run(parse("qubits 10\nh q4\nmeasure q4\n"), "real", device)
+    assert [(wire, args[0].num_qubits) for wire, args in kernel] == [(4, 1)]
+    assert [wire for wire, _ in slot] == [4]
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+def test_cx_on_wires_in_zero_makes_no_pass(processor):
+    device = _open_device([(0.01, 0.02)] * 10)
+    with engine_calls("apply_1q", 2) as kernel, engine_calls("apply_cnot", 1) as cx, \
+            engine_calls("decohere", 1) as slot:
+        state = run(parse("qubits 10\ncx q0 q1\n"), processor, device)
+    assert kernel == cx == slot == []
+    weights = np.abs(state.amps) ** 2 if processor == "ideal" else state.mat.diagonal().real
+    assert weights[0] == 1.0 and not weights[1:].any()

@@ -13,6 +13,7 @@ from qsim.states import (
     PureState,
     apply_1q,
     apply_cnot,
+    embed,
     is_separable,
     reduced_density_1q,
     zero_density,
@@ -58,6 +59,31 @@ class TestConstruction:
     def test_zero_density_capacity(self, n):
         with pytest.raises(CapacityError):
             zero_density(n)
+
+    @pytest.mark.parametrize("wires", [[], [2], [0, 3], [1, 2, 3], [0, 1, 2, 3]])
+    def test_embed_puts_zero_on_the_added_wires(self, wires):
+        rng = np.random.default_rng(len(wires))
+        k = len(wires)
+        vec, rho = random_pure_vec(rng, k), random_density_mat(rng, k)
+
+        def buffer_index(i):  # i's bits on `wires`, or None if another bit is 1
+            bits = [(i >> (3 - w)) & 1 for w in range(4)]
+            if any(b for w, b in enumerate(bits) if w not in wires):
+                return None
+            return sum(bits[w] << (k - 1 - j) for j, w in enumerate(wires))
+
+        old = [buffer_index(i) for i in range(16)]
+        expected_vec = [0 if a is None else vec[a] for a in old]
+        expected_rho = [[0 if None in (a, b) else rho[a, b] for b in old] for a in old]
+        np.testing.assert_array_equal(embed(PureState(k, vec), wires, range(4)).amps,
+                                      expected_vec)
+        np.testing.assert_array_equal(embed(DensityMatrix(k, rho), wires, range(4)).mat,
+                                      expected_rho)
+
+    @pytest.mark.parametrize("wires, new_wires", [([5], [0, 1]), ([1, 0], [0, 1]), ([0], [0])])
+    def test_embed_refuses_wires_it_cannot_place(self, wires, new_wires):
+        with pytest.raises(ValueError, match="cannot place"):
+            embed(zero_state(2), wires, new_wires)
 
     def test_from_amplitudes_checks_norm(self):
         with pytest.raises(ValueError, match="not normalized"):
