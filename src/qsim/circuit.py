@@ -258,56 +258,62 @@ def parse(source: str, name: str = "") -> Circuit:
 
     Raises :class:`ParseError` (with line number) on unknown mnemonics,
     malformed or out-of-range qubit tokens, wrong operand counts, and a
-    missing or duplicated ``qubits`` header.
+    missing or duplicated ``qubits`` header. A line repeated within one
+    call is checked once, and every occurrence shares its frozen
+    instruction.
     """
     num_qubits: int | None = None
     instrs: list[Instruction] = []
     lines: list[int] = []
+    checked: dict[str, Instruction] = {}  # a checked line's text -> its instruction
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip().lower()
         if not text:
             continue
-        tokens = text.split()
-        mnemonic, args = tokens[0], tokens[1:]
+        instr = checked.get(text)
+        if instr is None:
+            tokens = text.split()
+            mnemonic, args = tokens[0], tokens[1:]
 
-        if mnemonic == "qubits":
-            if num_qubits is not None:
-                raise ParseError(line_no, "duplicate 'qubits' header")
-            if len(args) != 1:
-                raise ParseError(line_no, "expected 'qubits <N>'")
-            digits = _digits(args[0])
-            if digits is None:
-                raise ParseError(line_no, f"malformed qubit count {_clip(args[0])!r}")
-            if len(digits) > _MAX_DIGITS or not 1 <= int(digits) <= MAX_QUBITS:
-                raise ParseError(
-                    line_no, f"qubit count must be 1..{MAX_QUBITS}, got {_clip(digits)}"
-                )
-            num_qubits = int(digits)
-            continue
+            if mnemonic == "qubits":
+                if num_qubits is not None:
+                    raise ParseError(line_no, "duplicate 'qubits' header")
+                if len(args) != 1:
+                    raise ParseError(line_no, "expected 'qubits <N>'")
+                digits = _digits(args[0])
+                if digits is None:
+                    raise ParseError(line_no, f"malformed qubit count {_clip(args[0])!r}")
+                if len(digits) > _MAX_DIGITS or not 1 <= int(digits) <= MAX_QUBITS:
+                    raise ParseError(
+                        line_no, f"qubit count must be 1..{MAX_QUBITS}, got {_clip(digits)}"
+                    )
+                num_qubits = int(digits)
+                continue
 
-        if num_qubits is None:
-            raise ParseError(line_no, "missing 'qubits <N>' header")
+            if num_qubits is None:
+                raise ParseError(line_no, "missing 'qubits <N>' header")
 
-        if mnemonic not in _GRAMMAR:
-            raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
-        make, arity = _GRAMMAR[mnemonic]
-        if len(args) != arity:
-            raise ParseError(line_no, f"'{mnemonic}' expects {_OPERANDS[arity]}")
-        wires = []
-        for token in args:
-            digits = _digits(token[1:]) if token[0] == "q" else None
-            if digits is None:
-                raise ParseError(line_no,
-                                 f"malformed qubit token {_clip(token)!r} (expected q<i>)")
-            if len(digits) > _MAX_DIGITS or int(digits) >= num_qubits:
-                raise ParseError(line_no, f"qubit q{_clip(digits)} out of range "
-                                 f"for declared size {num_qubits}")
-            q = int(digits)
-            if q in wires:
-                raise ParseError(line_no, f"{mnemonic} control and target must differ")
-            wires.append(q)
-        instrs.append(make(*wires))
+            if mnemonic not in _GRAMMAR:
+                raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
+            make, arity = _GRAMMAR[mnemonic]
+            if len(args) != arity:
+                raise ParseError(line_no, f"'{mnemonic}' expects {_OPERANDS[arity]}")
+            wires = []
+            for token in args:
+                digits = _digits(token[1:]) if token[0] == "q" else None
+                if digits is None:
+                    raise ParseError(line_no,
+                                     f"malformed qubit token {_clip(token)!r} (expected q<i>)")
+                if len(digits) > _MAX_DIGITS or int(digits) >= num_qubits:
+                    raise ParseError(line_no, f"qubit q{_clip(digits)} out of range "
+                                     f"for declared size {num_qubits}")
+                q = int(digits)
+                if q in wires:
+                    raise ParseError(line_no, f"{mnemonic} control and target must differ")
+                wires.append(q)
+            instr = checked[text] = make(*wires)
+        instrs.append(instr)
         lines.append(line_no)
 
     if num_qubits is None:

@@ -17,26 +17,42 @@ run: at most two flushes per gate, plus one per noisy wire at the end.
 Gates that are diagonal or anti-diagonal (x, y, z, s, sdg, t, tdg, id)
 are deferred as well, as in a Pauli frame (Knill, Nature 434, 39
 (2005)). Each wire keeps one pending monomial M_q, a diagonal or
-anti-diagonal 2x2 matrix, and the invariant is: true state = (pending
-slots) ∘ (⊗ M_q) applied to (buffer ⊗ |0> on every untouched wire).
-Such a gate U only sets
-M_q <- U·M_q, so it makes no pass on the ideal processor. The slot
-commutes with diagonals only, so on the real processor an anti-diagonal
-gate flushes its wire first, and a flush applies a pending
-anti-diagonal M_q before the slots. Three identities keep a flip
-pending past the gates that would otherwise apply it:
+anti-diagonal 2x2 matrix, and one scalar, `scale`, is kept for the
+whole register. The invariant is: true state = scale · (pending slots)
+∘ (⊗ M_q) applied to (buffer ⊗ |0> on every untouched wire). Such a
+gate U only sets M_q <- U·M_q, so it makes no pass on the ideal
+processor. The slot commutes with diagonals only, so on the real
+processor an anti-diagonal gate flushes its wire first, and a flush
+applies a pending anti-diagonal M_q before the slots.
 
-- H·X = Z·H. An h after M_q = [[0, b], [c, 0]] = X·diag(c, b) applies
-  diag(c, b) (nothing when b == c), runs the butterfly, and leaves Z
-  pending (b·Z when b == c).
+Applying ("settling") M_q moves its leading entry into scale:
+diag(a, d) is a·diag(1, d/a), one half-pass, or none when d == a or
+the wire is still in |0>; [[0, b], [c, 0]] is b·[[0, 1], [c/b, 0]], a copy plus
+one multiply. An h runs unscaled, as [[1, 1], [1, -1]] with its 1/√2
+(the gate table's constant) moved into scale, and absorbs a diagonal
+pending on its wire: H·diag(p, r) = p/√2·[[1, r/p], [1, -r/p]], one
+three-op pass. On rho the scalar is scale·conj(scale): a unit-modulus
+entry adds |a|² = 1, so only the h gates count, as exactly 1/2 each.
+The unscaled buffer grows by √2 per h on psi and by 2 on rho, so every
+64 h gates it is rescaled by an exact power of two, and scale is
+applied once at the end. Exact powers of two change no rounding: a
+noise slot on the unscaled rho rounds as it would on the scaled one.
+
+Four identities keep a monomial pending past the gates that would
+otherwise apply it:
+
+- H·X = Z·H. An h after M_q = X·diag(c, b) runs as H·diag(c, b) and
+  leaves Z pending.
 - X on the target commutes with cx. A cx applies only the diagonal
   factor of its target's M_q and leaves a scalar times I or X pending.
   A diagonal on the control commutes with it too and stays pending.
+- cx·Z_t = Z_c·Z_t·cx (Gottesman, arXiv:quant-ph/9807006). A target
+  M_q whose diagonal factor is a scalar times Z stays pending, and Z
+  joins the control's monomial on the right: M_c <- M_c·Z.
 - cx·X_c = X_c·X_t·cx. A flip pending on the control is copied onto
   the target: M_t <- X·M_t.
 
-Any other gate on the wire applies M_q first, and whatever is still
-pending is applied at the end of the run.
+Whatever is still pending is applied at the end of the run.
 
 The buffer holds only the active wires, those that have left |0>, in
 ascending order; a kernel or `decohere` call takes a wire's position in
@@ -46,8 +62,7 @@ wire is active from the start. `states.embed` adds a wire, in |0>, when
 an h, an applied anti-diagonal M_q or a cx with an active control first
 reaches it. Until then the rules above reduce to:
 
-- a diagonal M_q applied there multiplies the buffer by its first entry
-  a (by a, then conj(a), on rho: the products the kernel would form);
+- a diagonal M_q applied there only multiplies scale by its first entry;
 - a cx with the control there makes no pass: the control is |0> up to
   the frame, so only the frame rule for a pending flip applies;
 - its slots are skipped on the real processor when M_q is diagonal,
@@ -82,6 +97,8 @@ from .states import (DensityMatrix, PureState, apply_1q, apply_cnot, check_capac
 PROCESSORS = ("ideal", "real")
 _IDENTITY = (1, 0, 0, 1)
 _PAULI_X = (0, 1, 1, 0)
+_PAULI_Z = (1, 0, 0, -1)
+_RENORMALIZE_EVERY = 64  # h gates: the unscaled buffer grows by at most 2^64 in between
 UFUNC_BUFSIZE = 256  # elements, for the gate loop (numpy's default is 8192)
 
 
@@ -90,6 +107,11 @@ def _product(u, m):
     a, b, c, d = u
     pa, pb, pc, pd = m
     return (a * pa + b * pc, a * pb + b * pd, c * pa + d * pc, c * pb + d * pd)
+
+
+def _diagonal(m):
+    """(p, r) for a monomial m that is diag(p, r) or X·diag(p, r)."""
+    return (m[0], m[3]) if m[0] else (m[2], m[1])
 
 
 def check(circuit: Circuit, processor: str, device: DeviceModel) -> list[Violation]:
@@ -151,6 +173,8 @@ def run(
     flushed = dict.fromkeys(rates, 0)  # gate count at each noisy wire's last flush
     gates = 0
     frame = {}  # wire -> its pending monomial M_q, as (a, b, c, d)
+    scale = 1  # the register-wide scalar: phases and 1/√2 per h on psi, 1/2 per h on rho
+    hs = 0  # h gates since the buffer was last renormalized
 
     def place(q):
         """q's buffer position; q joins the buffer, in |0>, if it is not there."""
@@ -165,17 +189,21 @@ def run(
         p = place(q)
         apply_1q(state, u, p)
 
-    def settle(q, m):
-        if m == _IDENTITY:
-            return
-        if q in pos or m[0] == 0:
-            kernel(q, [m[:2], m[2:]])
-            return
-        a = m[0]  # a diagonal on a wire still in |0>: one scalar on the buffer
+    def rescale(f):
         buf = state.mat if real else state.amps
-        for f in (a, a.conjugate()) if real else (a,):
-            if f != 1:
-                buf *= f
+        buf *= f
+
+    def settle(q, m):
+        """Apply M_q as its leading entry, into the scalar, times one
+        half-pass: diag(1, d/a) or [[0, 1], [c/b, 0]]."""
+        nonlocal scale
+        a, b, c, d = m
+        if not real:
+            scale *= a or b
+        if a == 0:
+            kernel(q, [[0, 1], [c / b, 0]])
+        elif d != a and q in pos:  # on a wire still in |0>, diag(a, d) is a
+            kernel(q, [[1, 0], [0, d / a]])
 
     def flush(*wires):
         for q in wires:
@@ -197,19 +225,21 @@ def run(
                     if a == 0:
                         flush(q)
                     frame[q] = _product((a, b, c, d), frame.get(q, _IDENTITY))
-                else:
+                else:  # h, the one other gate: H·diag(p, r) = a·p·[[1, r/p], [1, -r/p]]
                     flush(q)
                     m = frame.pop(q, _IDENTITY)
-                    if m[0] == 0 and a == b == c == -d:  # H·X·diag(c, b) = Z·H·diag(c, b)
-                        k = m[1]
-                        if m[1] != m[2]:
-                            settle(q, (m[2], 0, 0, m[1]))
-                            k = 1
-                        kernel(q, u)
-                        frame[q] = (k, 0, 0, -k)
-                    else:
-                        settle(q, m)
-                        kernel(q, u)
+                    p, r = _diagonal(m)
+                    x = r / p if q in pos else 1  # on |0>, diag(p, r) is p
+                    kernel(q, [[1, x], [1, -x]])
+                    if m[0] == 0:  # H·X·diag(p, r) = Z·H·diag(p, r)
+                        frame[q] = _PAULI_Z
+                    scale *= 0.5 if real else a * p
+                    hs += 1
+                    if hs == _RENORMALIZE_EVERY:  # by 2^hs on rho, 2^(hs/2) on psi
+                        f = 2.0 ** (hs if real else hs // 2)
+                        rescale(1 / f)
+                        scale *= f
+                        hs = 0
             elif isinstance(instr, Cnot):
                 ctl, tgt = instr.control, instr.target
                 flush(ctl)
@@ -217,14 +247,18 @@ def run(
                 if ctl in pos or flip:  # else the control is |0>: cx does nothing
                     flush(tgt)
                 if ctl in pos:
-                    a, b, c, d = frame.get(tgt, _IDENTITY)
-                    if a != d:  # a scalar times I or X commutes with cx: apply the rest
-                        settle(tgt, frame.pop(tgt))
-                    elif b != c:
-                        settle(tgt, (c, 0, 0, b))
-                        frame[tgt] = _PAULI_X
-                    p = place(tgt)
-                    apply_cnot(state, pos[ctl], p)
+                    m = frame.get(tgt, _IDENTITY)
+                    p, r = _diagonal(m)
+                    if r == -p:  # cx·Z_t = Z_c·Z_t·cx: Z joins the control's monomial
+                        frame[ctl] = _product(frame.get(ctl, _IDENTITY), _PAULI_Z)
+                    elif r != p:  # a scalar times I or X commutes with cx: apply the rest
+                        settle(tgt, (p, 0, 0, r))
+                        if m[0]:
+                            del frame[tgt]
+                        else:
+                            frame[tgt] = _PAULI_X
+                    t = place(tgt)
+                    apply_cnot(state, pos[ctl], t)
                 if flip:  # cx·X_c = X_c·X_t·cx
                     frame[tgt] = _product(_PAULI_X, frame.get(tgt, _IDENTITY))
             else:
@@ -233,6 +267,8 @@ def run(
         flush(*rates)
         for q, m in frame.items():
             settle(q, m)
+        if scale != 1:
+            rescale(scale)
     finally:
         np.setbufsize(old_bufsize)
     return state if len(pos) == n else embed(state, list(pos), range(n))

@@ -61,8 +61,9 @@ def marginal(state, measured: Sequence[int]) -> np.ndarray:
     """Born weights of the measured qubits, flat, in ascending-bit order.
 
     The one place that validates a measured-wire list, clips negative
-    populations and refuses a state with no weight on the measured wires;
-    sums |amp|^2 or the real diagonal over unmeasured wires.
+    populations and refuses a state with non-finite weight or with no
+    weight on the measured wires; sums |amp|^2 or the real diagonal over
+    unmeasured wires.
     """
     n = state.num_qubits
     for q in measured:
@@ -80,19 +81,22 @@ def marginal(state, measured: Sequence[int]) -> np.ndarray:
         raise TypeError(f"cannot measure {type(state).__name__}")
     drop = tuple(q for q in range(n) if q not in measured)
     flat = weights.reshape((2,) * n).sum(axis=drop).reshape(-1)
-    if not flat.max() >= _PROB_FLOOR:  # also true for NaN
+    if not np.isfinite(flat).all():  # an inf or NaN weight reaches its sum
+        raise ValueError(f"state has non-finite weight on qubits {list(measured)}")
+    if not flat.max() >= _PROB_FLOOR:
         raise ValueError(f"state has no measurable weight on qubits {list(measured)}")
     return flat
 
 
 def _bit_keys(indices: np.ndarray, width: int) -> list[str]:
     """`format(i, f"0{width}b")` of every index, built as one ASCII byte
-    matrix (a row per index, most significant bit first) and decoded."""
+    matrix (a row per index, most significant bit first), one `S{width}`
+    item per row, each decoded."""
     chars = np.empty((len(indices), width), dtype=np.uint8)
     for j in range(width):
         chars[:, j] = (indices >> (width - 1 - j)) & 1
     chars += ord("0")
-    return chars.view(f"S{width}").ravel().astype(str).tolist()
+    return list(map(bytes.decode, chars.view(f"S{width}").ravel().tolist()))
 
 
 def probabilities(state, measured: Sequence[int]) -> dict[str, float]:
@@ -143,8 +147,8 @@ def histogram_json_fields(probs: dict[str, float],
         "shots": hist.shots if hist else 0,
         "seed": hist.seed if hist else None,
         "rng": hist.rng if hist else None,
-        "counts": dict(sorted(hist.counts.items())) if hist else {},
-        "probabilities": dict(sorted(probs.items())),
+        "counts": {k: hist.counts[k] for k in sorted(hist.counts)} if hist else {},
+        "probabilities": {k: probs[k] for k in sorted(probs)},
     }
 
 
@@ -156,10 +160,14 @@ def bloch_measure(state, q: int) -> BlochVector:
     distinguishes |+> from |->. For one half of a maximally entangled
     pair the vector collapses to the origin (purity_norm 0): the reduced
     state carries no direction information. A state with no weight on
-    wire q is refused, as `marginal` refuses it.
+    wire q is refused, as `marginal` refuses it, and so is a state with
+    non-finite weight.
     """
-    rho = reduced_density_1q(state, q)
-    if not rho[0, 0].real + rho[1, 1].real >= _PROB_FLOOR:  # also true for NaN
+    with np.errstate(invalid="ignore"):  # inf times 0 in the reduction: refused below
+        rho = reduced_density_1q(state, q)
+    if not np.isfinite(rho).all():
+        raise ValueError(f"state has non-finite weight on qubit {q}")
+    if not rho[0, 0].real + rho[1, 1].real >= _PROB_FLOOR:
         raise ValueError(f"state has no measurable weight on qubit {q}")
     # + 0.0 normalizes IEEE negative zeros out of the report
     x = float(2.0 * rho[0, 1].real) + 0.0

@@ -11,17 +11,21 @@ never by building the dense 2^n x 2^n operator (a test-oracle-only
 construction). The update reads the shape of the 2x2 matrix: a diagonal
 gate scales the halves in place (the identity does nothing), an
 anti-diagonal one swaps them, a Hadamard-shaped one is a butterfly, and
-only another dense one needs the full formula. On the lowest wires the
-halves are walked transposed, so the inner loops stay long. Most of
-the rest of a middle wire's extra cost is numpy's ufunc buffer: a
-strided half is copied through it, and with the default 8192 elements a
-gate on wires 4-8 of a 16-wire register costs 2-3x as much as on wire
-0. engine.run runs its gate loop under a 256-element buffer, which
-removes that step. cx swaps two quarters over the (pre, 2, mid, 2, post)
-view of its wires. A density matrix is the 2n-wire register of its
-buffer, so both processors run the same gate kernels. engine.run defers
-diagonal and anti-diagonal gates and the real processor's noise slots,
-and applies them lazily.
+only another dense one needs the full formula. engine.run keeps the
+1/√2 of each h in one register-wide scalar and passes the unscaled
+[[1, x], [1, -x]] (H·diag(1, x) times √2): three ops, none of them a
+multiply when x == 1. On the lowest wires the halves are walked
+transposed, so the inner loops stay long. Most of the rest of a middle
+wire's extra cost is numpy's ufunc buffer: a strided half is copied
+through it, and with the default 8192 elements a gate on wires 4-8 of a
+16-wire register costs 2-3x as much as on wire 0. engine.run runs its
+gate loop under a 256-element buffer, which removes that step. cx swaps
+two quarters over the (pre, 2, mid, 2, post) view of its wires; when
+post is 2, 4 or 8, each run of post amplitudes is copied as one void
+item, so the copy's inner loop runs along mid. A density matrix is the
+2n-wire register of its buffer, so both processors run the same gate
+kernels. engine.run defers diagonal and anti-diagonal gates and the
+real processor's noise slots, and applies them lazily.
 
 engine.run also keeps only the wires that have left |0> in its buffer.
 `embed(state, wires, new_wires)` widens a state held on the ascending
@@ -147,11 +151,15 @@ def _pair_update(flat: np.ndarray, m: np.ndarray, pre: int, post: int) -> None:
 
     The kernel follows the shape of m. Diagonal: each half is scaled in
     place, and a factor of 1 is skipped, so the identity does nothing.
-    Anti-diagonal: the halves swap, each times its phase. Hadamard-shaped
-    (a == b == c == -d): a butterfly, (top + bot)·a and (top - bot)·a,
-    with one scratch buffer. Dense: one copy of the top half plus one
-    scratch buffer. Only the butterfly rounds differently from the dense
-    formula; the other branches differ from it in signed zeros alone.
+    Anti-diagonal: the halves swap, each times its phase, and a phase of
+    1 is a plain copy. Hadamard-shaped (a == b == c == -d): a butterfly,
+    top - bot into scratch and top + bot in place, then both times a;
+    for a == 1 the scratch is copied back, with no multiply at all.
+    [[1, x], [1, -x]], the unscaled Hadamard after diag(1, x): bot·x
+    into scratch, top - scratch into bot, top + scratch into top. Dense:
+    one copy of the top half plus one scratch buffer. Only the scaled
+    butterfly rounds differently from the dense formula; the other
+    branches differ from it in signed zeros alone.
 
     On a low wire (post < 16) the halves are walked as their transposed
     (post, pre) views in C order, so every ufunc's inner loop runs over
@@ -168,17 +176,29 @@ def _pair_update(flat: np.ndarray, m: np.ndarray, pre: int, post: int) -> None:
         if d != 1:
             np.multiply(bot, d, out=bot, order="C")
         return
+    if a == 0 and d == 0:
+        saved = top.copy() if c == 1 else np.multiply(top, c, order="C")
+        if b == 1:
+            top[...] = bot
+        else:
+            np.multiply(bot, b, out=top, order="C")
+        bot[...] = saved
+        return
     if a == b == c == -d:
         diff = np.subtract(top, bot, order="C")
         np.add(top, bot, out=top, order="C")
-        np.multiply(top, a, out=top, order="C")
-        np.multiply(diff, a, out=bot, order="C")
+        if a == 1:
+            bot[...] = diff
+        else:
+            np.multiply(top, a, out=top, order="C")
+            np.multiply(diff, a, out=bot, order="C")
+        return
+    if a == c == 1 and b == -d:
+        scratch = np.multiply(bot, b, order="C")
+        np.subtract(top, scratch, out=bot, order="C")
+        np.add(top, scratch, out=top, order="C")
         return
     saved = top.copy()
-    if a == 0 and d == 0:
-        np.multiply(bot, b, out=top, order="C")
-        np.multiply(saved, c, out=bot, order="C")
-        return
     scratch = np.multiply(bot, b, order="C")
     np.multiply(saved, a, out=top, order="C")
     np.add(top, scratch, out=top, order="C")
@@ -257,9 +277,15 @@ def apply_1q(state, u: np.ndarray, q: int):
 
 def _cnot_swap(flat: np.ndarray, wires: int, control: int, target: int) -> None:
     """Swap the target-bit halves of the control = 1 slice, in place, over
-    the (pre, 2, mid, 2, post) view of the register's two wires."""
+    the (pre, 2, mid, 2, post) view of the register's two wires. A run of
+    post = 2, 4 or 8 amplitudes is copied as one V{16*post} item, so the
+    copy's inner loop runs along mid instead of along the short run; the
+    bytes moved are the same."""
     lo, hi = sorted((control, target))
-    view = flat.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (wires - 1 - hi))
+    post = 1 << (wires - 1 - hi)
+    if 1 < post < 16:
+        flat, post = flat.view(f"V{flat.itemsize * post}"), 1
+    view = flat.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, post)
     one = view[:, 1, :, 1]
     zero = view[:, 1, :, 0] if control < target else view[:, 0, :, 1]
     saved = zero.copy()

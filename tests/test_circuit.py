@@ -140,6 +140,20 @@ class TestParse:
         c = parse("qubits 1\nh q0\nbloch q0\n")
         assert c.instrs[-1] == BlochMeasure(0)
 
+    def test_repeated_lines_keep_their_own_line_numbers(self):
+        c = parse("qubits 2\nh q0\nH Q0  # again\ncx q0 q1\n\nh q0\ncx q0 q1\nmeasure q1\n")
+        h, cx = Gate1(GateKind.H, 0), Cnot(0, 1)
+        assert c.instrs == [h, h, cx, h, cx, MeasureZ(1)]
+        assert c.source_lines == [2, 3, 4, 6, 7, 8]
+        canonical = "qubits 2\nh q0\nh q0\ncx q0 q1\nh q0\ncx q0 q1\nmeasure q1\n"
+        assert format_circuit(c) == canonical
+        assert parse(canonical) == c
+
+    def test_a_repeated_bad_line_reports_its_first_line(self):
+        with pytest.raises(ParseError) as info:
+            parse("qubits 2\nh q0\nx q5\nh q0\nx q5\n")
+        assert info.value.line == 3
+
 
 class TestFormat:
     def test_empty_circuit(self):

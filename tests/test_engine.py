@@ -15,7 +15,7 @@ from qsim.engine import PROCESSORS, run
 from qsim.errors import CapacityError, ValidationError
 from qsim.gates import GateKind, matrix_of
 from qsim.noise import amplitude_damping, decohere, dephasing
-from qsim.states import DensityMatrix, PureState, apply_1q
+from qsim.states import DensityMatrix, PureState, apply_1q, apply_cnot
 
 from oracles import (SINGLE_KINDS, engine_calls, evolve_dense, random_density_mat,
                      random_pure_vec)
@@ -333,3 +333,71 @@ def test_cx_on_wires_in_zero_makes_no_pass(processor):
     assert kernel == cx == slot == []
     weights = np.abs(state.amps) ** 2 if processor == "ideal" else state.mat.diagonal().real
     assert weights[0] == 1.0 and not weights[1:].any()
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+def test_thousands_of_hadamards_keep_the_norm(processor):
+    # h runs unscaled: without renormalization the buffer would grow by
+    # 2^1050 on psi and 2^2100 on rho, past the float range
+    circuit = parse("qubits 2\n" + "h q0\nt q0\nh q1\ncx q0 q1\n" * 1050 + "measure q0\n")
+    device = _open_device([(1e-4, 1e-4)] * 2)
+    with engine_calls("apply_1q", 2) as kernel:
+        _check_against_dense_oracle(processor, circuit, device, None)
+    assert sum(_pass_shape(args[1]) == "h" for _, args in kernel) == 2100
+    state = run(circuit, processor, device)
+    drift = abs(state.norm() - 1) if processor == "ideal" else abs(state.trace() - 1)
+    assert drift < 1e-9
+
+
+def _pass_shape(u) -> str:
+    (a, b), (c, d) = np.asarray(u).tolist()
+    return "diagonal" if b == c == 0 else "anti-diagonal" if a == d == 0 else "h"
+
+
+@pytest.mark.parametrize("text, passes", [
+    ("s q0\nh q0\n", [(0, "h")]),
+    ("h q0\ns q0\nh q0\n", [(0, "h"), (0, "h")]),  # H·diag(1, i): one fused pass
+    # H·X·diag(c, b) = Z·H·diag(c, b) fuses too, and leaves Z for the end
+    ("h q0\nx q0\nt q0\nh q0\n", [(0, "h"), (0, "h"), (0, "diagonal")]),
+    ("h q0\nt q1\ns q1\nz q1\n", [(0, "h")]),  # a diagonal on a wire in |0>: the scalar only
+    ("h q0\nx q0\nz q0\nx q0\n", [(0, "h"), (0, "diagonal")]),  # -Z = -1·diag(1, -1)
+])
+def test_settled_phases_make_one_pass(text, passes):
+    circuit = parse("qubits 2\n" + text)
+    with engine_calls("apply_1q", 2) as kernel:
+        _check_against_dense_oracle("ideal", circuit, None, None)
+    assert [(wire, _pass_shape(args[1])) for wire, args in kernel] == passes
+
+
+def test_z_on_a_cx_target_passes_to_the_control():
+    # cx·Z_t = Z_c·Z_t·cx: the Z stays pending on q1, and q0 picks one up
+    seen = []
+
+    def kernel(state, u, q):
+        seen.append((q, _pass_shape(u)))
+        return apply_1q(state, u, q)
+
+    def cx(state, c, t):
+        seen.append(("cx", c, t))
+        return apply_cnot(state, c, t)
+
+    circuit = parse("qubits 2\nh q0\nh q1\nz q1\ncx q0 q1\n")
+    with mock.patch.object(engine, "apply_1q", side_effect=kernel), \
+            mock.patch.object(engine, "apply_cnot", side_effect=cx):
+        _check_against_dense_oracle("ideal", circuit, None, None)
+    assert seen[:3] == [(0, "h"), (1, "h"), ("cx", 0, 1)]
+    assert sorted(seen[3:]) == [(0, "diagonal"), (1, "diagonal")]  # settled at the end
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+@PROPERTY_SETTINGS
+@given(case=noisy_circuits(), seed=st.none() | st.integers(0, 2**32 - 1))
+def test_every_pass_has_a_unit_leading_entry(processor, case, seed):
+    # the leading entry of a settled monomial and the 1/√2 of each h go to
+    # the register-wide scalar: a settle is one half-pass diag(1, x) or a
+    # copy plus [[0, 1], [x, 0]], and an h is [[1, x], [1, -x]]
+    with engine_calls("apply_1q", 2) as kernel:
+        _check_against_dense_oracle(processor, *case, seed)
+    for _, args in kernel:
+        (a, b), _ = np.asarray(args[1]).tolist()
+        assert (a or b) == 1

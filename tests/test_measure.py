@@ -13,6 +13,7 @@ from qsim.circuit import parse
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import (
     RNG_ALGORITHM,
+    _bit_keys,
     bloch_measure,
     histogram_json_fields,
     probabilities,
@@ -112,11 +113,35 @@ class TestProbabilities:
             bloch_measure(zero_density(2), 0.0)
         with pytest.raises(ValueError, match="integers"):
             bloch_measure(s, 1.0)
-        for empty in (DensityMatrix(1, np.zeros((2, 2))), PureState(1, np.zeros(2)),
-                      DensityMatrix(1, np.full((2, 2), np.nan))):
+        for empty in (DensityMatrix(1, np.zeros((2, 2))), PureState(1, np.zeros(2))):
             with pytest.raises(ValueError, match="no measurable weight on qubit 0"):
                 bloch_measure(empty, 0)
+        with pytest.raises(ValueError, match="non-finite weight on qubit 0"):
+            bloch_measure(DensityMatrix(1, np.full((2, 2), np.nan)), 0)
         assert probabilities(s, [np.int64(0)]) == pytest.approx({"0": 0.5, "1": 0.5})
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weight_is_refused(self, bad):
+        # next to finite weights, an inf or NaN entry is refused by name on
+        # either state kind, before sample's multinomial or a "no weight" report
+        amps = np.array([0.6, 0.8, bad, 0.0], dtype=complex)
+        mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        mat[3, 3] = bad
+        for state in (PureState(2, amps), DensityMatrix(2, mat)):
+            for measure in (lambda s: probabilities(s, [0, 1]),
+                            lambda s: probabilities(s, [1]),
+                            lambda s: sample(s, [0], 64, seed=0)):
+                with pytest.raises(ValueError, match="non-finite weight on qubits"):
+                    measure(state)
+            with pytest.raises(ValueError, match="non-finite weight on qubit 0"):
+                bloch_measure(state, 0)
+
+    def test_bit_keys_match_format(self):
+        rng = np.random.default_rng(5)
+        for width in range(1, 17):
+            indices = np.concatenate([[0, (1 << width) - 1], rng.integers(0, 1 << width, 50)])
+            assert _bit_keys(indices, width) == [format(i, f"0{width}b") for i in indices]
+            assert _bit_keys(np.array([], dtype=np.int64), width) == []
 
     def test_key_order_is_ascending_qubit_index(self):
         # |01>: q0=0, q1=1 -> key "01" regardless of the order passed in

@@ -152,7 +152,8 @@ class TestApply1q:
             assert np.array_equal(got.mat, rho)  # id leaves the buffer alone
 
 
-KERNEL_SHAPES = ("identity", "diagonal", "anti-diagonal", "hadamard", "dense")
+KERNEL_SHAPES = ("identity", "diagonal", "anti-diagonal", "unit anti-diagonal", "hadamard",
+                 "unscaled hadamard", "unscaled hadamard after diagonal", "dense")
 
 
 def shaped_matrix(rng, shape: str) -> np.ndarray:
@@ -162,6 +163,13 @@ def shaped_matrix(rng, shape: str) -> np.ndarray:
         return ID
     if shape == "hadamard":  # a == b == c == -d, with a random complex scale
         return complex(*rng.normal(size=2)) * np.array([[1, 1], [1, -1]])
+    if shape == "unscaled hadamard":
+        return np.array([[1, 1], [1, -1]])
+    x = complex(*rng.normal(size=2))
+    if shape == "unscaled hadamard after diagonal":  # [[1, 1], [1, -1]]·diag(1, x)
+        return np.array([[1, x], [1, -x]])
+    if shape == "unit anti-diagonal":  # [[0, 1], [x, 0]]: one copy, one multiply
+        return np.array([[0, 1], [x, 0]])
     u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     if shape == "diagonal":
         return u * np.eye(2)
