@@ -10,7 +10,9 @@ lines ignored)::
     measure q<i>        computational-basis measurement
     bloch q<i>          single-qubit tomography marker
 
-<N> and <i> are written in ASCII digits 0-9 only.
+<N> and <i> are written in ASCII digits 0-9 only. `parse` keeps, per
+register size, a table of every canonical line (as format_circuit writes
+it) and checks token by token only the lines that table lacks.
 
 Measurement is terminal per qubit: once a wire is measured (either
 kind), no further gate may touch it. The validator reports that, plus
@@ -26,8 +28,9 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from importlib import resources
+from itertools import permutations
 from typing import Union
 
 from .errors import DeviceError, ParseError, UntranspilableError
@@ -253,25 +256,42 @@ def _clip(text: str) -> str:
     return text if len(text) <= 12 else f"{text[:9]}... ({len(text)} chars)"
 
 
+@cache  # one table per register size parse accepts: at most MAX_QUBITS
+def _vocabulary(num_qubits: int) -> dict[str, Instruction]:
+    """Every canonical instruction line of a `num_qubits`-wire register
+    (``h q3``, ``cx q1 q2``, ``measure q0``, as format_circuit writes
+    them), mapped to its frozen instruction: 11n + n(n-1) entries, built
+    on first use and kept for the process. Read only."""
+    return {
+        " ".join([mnemonic, *(f"q{q}" for q in wires)]): make(*wires)
+        for mnemonic, (make, arity) in _GRAMMAR.items()
+        for wires in permutations(range(num_qubits), arity)
+    }
+
+
 def parse(source: str, name: str = "") -> Circuit:
     """Parse circuit text into a Circuit.
 
     Raises :class:`ParseError` (with line number) on unknown mnemonics,
     malformed or out-of-range qubit tokens, wrong operand counts, and a
-    missing or duplicated ``qubits`` header. A line repeated within one
-    call is checked once, and every occurrence shares its frozen
-    instruction.
+    missing or duplicated ``qubits`` header. Once the header is read, a
+    line is looked up, as written and then normalized, in the register
+    size's vocabulary of canonical lines, and every occurrence shares its
+    frozen instruction; only a line the vocabulary lacks (an odd spelling
+    such as ``H Q03``, or an invalid line) is checked token by token.
     """
     num_qubits: int | None = None
     instrs: list[Instruction] = []
     lines: list[int] = []
-    checked: dict[str, Instruction] = {}  # a checked line's text -> its instruction
+    vocabulary: dict[str, Instruction] = {}  # empty until the header
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip().lower()
-        if not text:
-            continue
-        instr = checked.get(text)
+        instr = vocabulary.get(raw)
+        if instr is None:
+            text = raw.split("#", 1)[0].strip().lower()
+            if not text:
+                continue
+            instr = vocabulary.get(text)
         if instr is None:
             tokens = text.split()
             mnemonic, args = tokens[0], tokens[1:]
@@ -289,6 +309,7 @@ def parse(source: str, name: str = "") -> Circuit:
                         line_no, f"qubit count must be 1..{MAX_QUBITS}, got {_clip(digits)}"
                     )
                 num_qubits = int(digits)
+                vocabulary = _vocabulary(num_qubits)
                 continue
 
             if num_qubits is None:
@@ -312,7 +333,7 @@ def parse(source: str, name: str = "") -> Circuit:
                 if q in wires:
                     raise ParseError(line_no, f"{mnemonic} control and target must differ")
                 wires.append(q)
-            instr = checked[text] = make(*wires)
+            instr = make(*wires)
         instrs.append(instr)
         lines.append(line_no)
 
@@ -349,55 +370,38 @@ def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violat
     With a device, the register and its wires must then fit the chip and
     every CNOT must point at an allowed target. Either way the circuit
     needs at least one measurement.
+
+    An instruction that can have no finding takes a fast path,
+    dispatched on its exact class: a Gate1 of a known kind, a marker, or
+    a Cnot with an allowed target, on plain int wires that fit the
+    register and the chip and are not yet measured. Every other
+    instruction goes through `_check_instruction`, which runs every check.
     """
+    n = circuit.num_qubits
+    fits = n if device is None else min(n, device.num_qubits)
+    allowed = None if device is None else device.allowed_cnot_targets
     found: list[Violation] = []
     measured: set[int] = set()
     for idx, instr in enumerate(circuit.instrs):
-        wires = []
-        for q in instr.qubits:
-            if _is_int(q) and 0 <= q < circuit.num_qubits:
-                wires.append(q)
-            else:
-                found.append(Violation(
-                    idx, ViolationCode.QUBIT_OUT_OF_RANGE,
-                    f"q{q} out of range for {circuit.num_qubits}-qubit circuit",
-                ))
-        if isinstance(instr, Gate1) and not isinstance(instr.kind, GateKind):
-            found.append(Violation(
-                idx, ViolationCode.UNKNOWN_GATE,
-                f"unknown gate kind {instr.kind!r}",
-            ))
-        is_gate = isinstance(instr, (Gate1, Cnot))
-        for q in wires:
-            if q in measured:
-                found.append(Violation(
-                    idx, ViolationCode.GATE_AFTER_MEASURE,
-                    f"gate on q{q} after its measurement" if is_gate
-                    else f"q{q} measured twice",
-                ))
-        if not is_gate:
-            measured.update(wires)
-        if device is not None:
-            for q in wires:
-                if q >= device.num_qubits:
-                    found.append(Violation(
-                        idx, ViolationCode.QUBIT_OUT_OF_RANGE,
-                        f"q{q} not present on {device.num_qubits}-qubit "
-                        f"device '{device.name}'",
-                    ))
-            # only a target that passed the wire check above
-            if (isinstance(instr, Cnot) and instr.target in wires
-                    and instr.target not in device.allowed_cnot_targets):
-                allowed = ",".join(f"q{t}" for t in sorted(device.allowed_cnot_targets))
-                found.append(Violation(
-                    idx, ViolationCode.CNOT_TARGET_FORBIDDEN,
-                    f"cx may not target q{instr.target} on '{device.name}' "
-                    f"(allowed targets: {allowed})",
-                ))
-    if device is not None and circuit.num_qubits > device.num_qubits:
+        cls = type(instr)
+        if cls is Cnot:
+            c, t = instr.control, instr.target
+            if (type(c) is int and type(t) is int and 0 <= c < fits and 0 <= t < fits
+                    and c not in measured and t not in measured
+                    and (allowed is None or t in allowed)):
+                continue
+        elif cls is Gate1 or cls is MeasureZ or cls is BlochMeasure:
+            q = instr.qubit
+            if (type(q) is int and 0 <= q < fits and q not in measured
+                    and (cls is not Gate1 or isinstance(instr.kind, GateKind))):
+                if cls is not Gate1:
+                    measured.add(q)
+                continue
+        _check_instruction(found, measured, idx, instr, n, device)
+    if device is not None and n > device.num_qubits:
         found.append(Violation(
             len(circuit.instrs), ViolationCode.QUBIT_OUT_OF_RANGE,
-            f"{circuit.num_qubits}-qubit register does not fit {device.num_qubits}-qubit "
+            f"{n}-qubit register does not fit {device.num_qubits}-qubit "
             f"device '{device.name}'",
         ))
     if not measured:
@@ -406,6 +410,54 @@ def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violat
             "circuit has no measurement",
         ))
     return found
+
+
+def _check_instruction(found: list[Violation], measured: set[int], idx: int,
+                       instr: Instruction, num_qubits: int,
+                       device: DeviceModel | None) -> None:
+    """validate's every check on one instruction: append its findings to
+    `found`, and add the wires a measurement marker takes to `measured`."""
+    wires = []
+    for q in instr.qubits:
+        if _is_int(q) and 0 <= q < num_qubits:
+            wires.append(q)
+        else:
+            found.append(Violation(
+                idx, ViolationCode.QUBIT_OUT_OF_RANGE,
+                f"q{q} out of range for {num_qubits}-qubit circuit",
+            ))
+    if isinstance(instr, Gate1) and not isinstance(instr.kind, GateKind):
+        found.append(Violation(
+            idx, ViolationCode.UNKNOWN_GATE,
+            f"unknown gate kind {instr.kind!r}",
+        ))
+    is_gate = isinstance(instr, (Gate1, Cnot))
+    for q in wires:
+        if q in measured:
+            found.append(Violation(
+                idx, ViolationCode.GATE_AFTER_MEASURE,
+                f"gate on q{q} after its measurement" if is_gate
+                else f"q{q} measured twice",
+            ))
+    if not is_gate:
+        measured.update(wires)
+    if device is not None:
+        for q in wires:
+            if q >= device.num_qubits:
+                found.append(Violation(
+                    idx, ViolationCode.QUBIT_OUT_OF_RANGE,
+                    f"q{q} not present on {device.num_qubits}-qubit "
+                    f"device '{device.name}'",
+                ))
+        # only a target that passed the wire check above
+        if (isinstance(instr, Cnot) and instr.target in wires
+                and instr.target not in device.allowed_cnot_targets):
+            allowed = ",".join(f"q{t}" for t in sorted(device.allowed_cnot_targets))
+            found.append(Violation(
+                idx, ViolationCode.CNOT_TARGET_FORBIDDEN,
+                f"cx may not target q{instr.target} on '{device.name}' "
+                f"(allowed targets: {allowed})",
+            ))
 
 
 def retarget_cnots(circuit: Circuit, device: DeviceModel) -> Circuit:

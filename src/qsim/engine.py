@@ -72,6 +72,13 @@ The gate loop runs under a 256-element ufunc buffer: with numpy's
 default of 8192, the buffered copy of a strided half made a gate on the
 middle wires of a wide register cost 2-3x as much as on wire 0. The
 returned state is fully evolved and placed on all n wires.
+
+The per-gate Python work is paid once where it can be: each gate's four
+entries come from `_ENTRIES`, built once from `gates.matrix_of`, and a
+pass goes straight to `states._apply_1q` or `states._apply_cnot` with
+the entries as Python numbers and a buffer position run computed
+itself, so no 2x2 array is built, no wire is checked again, and rho's
+column copy is conjugated in Python.
 """
 
 from __future__ import annotations
@@ -89,12 +96,13 @@ from .circuit import (
     validate,
 )
 from .errors import ValidationError
-from .gates import matrix_of
+from .gates import GateKind, matrix_of
 from .noise import NoiseConfig, decohere
-from .states import (DensityMatrix, PureState, apply_1q, apply_cnot, check_capacity,
-                     embed)
+from .states import DensityMatrix, PureState, _apply_1q, _apply_cnot, check_capacity, embed
 
 PROCESSORS = ("ideal", "real")
+# each gate's (a, b, c, d) = [[a, b], [c, d]], as Python complex numbers
+_ENTRIES = {kind: tuple(matrix_of(kind).ravel().tolist()) for kind in GateKind}
 _IDENTITY = (1, 0, 0, 1)
 _PAULI_X = (0, 1, 1, 0)
 _PAULI_Z = (1, 0, 0, -1)
@@ -185,9 +193,9 @@ def run(
             pos = {w: k for k, w in enumerate(wires)}
         return pos[q]
 
-    def kernel(q, u):
+    def kernel(q, m):
         p = place(q)
-        apply_1q(state, u, p)
+        _apply_1q(state, m, p)
 
     def rescale(f):
         buf = state.mat if real else state.amps
@@ -201,9 +209,9 @@ def run(
         if not real:
             scale *= a or b
         if a == 0:
-            kernel(q, [[0, 1], [c / b, 0]])
+            kernel(q, ((0, 1), (c / b, 0)))
         elif d != a and q in pos:  # on a wire still in |0>, diag(a, d) is a
-            kernel(q, [[1, 0], [0, d / a]])
+            kernel(q, ((1, 0), (0, d / a)))
 
     def flush(*wires):
         for q in wires:
@@ -219,18 +227,18 @@ def run(
         for instr in circuit.instrs:
             if isinstance(instr, Gate1):
                 q = instr.qubit
-                u = matrix_of(instr.kind)
-                (a, b), (c, d) = u.tolist()
+                u = _ENTRIES[instr.kind]
+                a, b, c, d = u
                 if a == 0 or b == c == 0:  # a monomial joins the frame
                     if a == 0:
                         flush(q)
-                    frame[q] = _product((a, b, c, d), frame.get(q, _IDENTITY))
+                    frame[q] = _product(u, frame.get(q, _IDENTITY))
                 else:  # h, the one other gate: H·diag(p, r) = a·p·[[1, r/p], [1, -r/p]]
                     flush(q)
                     m = frame.pop(q, _IDENTITY)
                     p, r = _diagonal(m)
                     x = r / p if q in pos else 1  # on |0>, diag(p, r) is p
-                    kernel(q, [[1, x], [1, -x]])
+                    kernel(q, ((1, x), (1, -x)))
                     if m[0] == 0:  # H·X·diag(p, r) = Z·H·diag(p, r)
                         frame[q] = _PAULI_Z
                     scale *= 0.5 if real else a * p
@@ -258,7 +266,7 @@ def run(
                         else:
                             frame[tgt] = _PAULI_X
                     t = place(tgt)
-                    apply_cnot(state, pos[ctl], t)
+                    _apply_cnot(state, pos[ctl], t)
                 if flip:  # cx·X_c = X_c·X_t·cx
                     frame[tgt] = _product(_PAULI_X, frame.get(tgt, _IDENTITY))
             else:

@@ -5,10 +5,13 @@ order, leftmost bit = lowest measured index, consistent with the global
 qubit-0-is-most-significant convention. `marginal` is the one place
 that validates measured wires and clips negative populations, and
 `sample` draws from it. Both build their bitstring keys in bulk
-(`_bit_keys`), one ASCII byte matrix for all kept indices, not one
-`format` call per entry. Shot sampling uses numpy's PCG64 generator; the
-algorithm identifier travels with every histogram so results are
-reproducible across platforms from (state, qubits, shots, seed) alone.
+(`_bit_keys`): one uint32 matrix of UCS4 code points for all kept
+indices, viewed as fixed-width unicode items, not one `format` call per
+entry. Their keys come in index order, which is sorted order, so
+`histogram_json_fields` copies those maps whole. Shot sampling uses
+numpy's PCG64 generator; the algorithm identifier travels with every
+histogram so results are reproducible across platforms from (state,
+qubits, shots, seed) alone.
 """
 
 from __future__ import annotations
@@ -89,14 +92,16 @@ def marginal(state, measured: Sequence[int]) -> np.ndarray:
 
 
 def _bit_keys(indices: np.ndarray, width: int) -> list[str]:
-    """`format(i, f"0{width}b")` of every index, built as one ASCII byte
-    matrix (a row per index, most significant bit first), one `S{width}`
-    item per row, each decoded."""
-    chars = np.empty((len(indices), width), dtype=np.uint8)
+    """`format(i, f"0{width}b")` of every index, built as one uint32
+    matrix of UCS4 code points (a row per index, most significant bit
+    first), whose rows, viewed as `U{width}` items, are the keys."""
+    bits = indices.astype(np.uint32)  # a register has at most 16 wires
+    chars = np.empty((len(indices), width), dtype=np.uint32)
     for j in range(width):
-        chars[:, j] = (indices >> (width - 1 - j)) & 1
+        np.right_shift(bits, width - 1 - j, out=chars[:, j])
+    chars &= 1
     chars += ord("0")
-    return list(map(bytes.decode, chars.view(f"S{width}").ravel().tolist()))
+    return chars.view(f"U{width}").ravel().tolist()
 
 
 def probabilities(state, measured: Sequence[int]) -> dict[str, float]:
@@ -147,9 +152,19 @@ def histogram_json_fields(probs: dict[str, float],
         "shots": hist.shots if hist else 0,
         "seed": hist.seed if hist else None,
         "rng": hist.rng if hist else None,
-        "counts": {k: hist.counts[k] for k in sorted(hist.counts)} if hist else {},
-        "probabilities": {k: probs[k] for k in sorted(probs)},
+        "counts": _sorted_map(hist.counts) if hist else {},
+        "probabilities": _sorted_map(probs),
     }
+
+
+def _sorted_map(mapping: dict) -> dict:
+    """A copy of `mapping` with its keys in sorted order. `probabilities`
+    and `sample` build their keys in index order, which is sorted order,
+    so such a map is copied whole rather than rebuilt key by key."""
+    keys = list(mapping)
+    if keys == sorted(keys):
+        return dict(mapping)
+    return {k: mapping[k] for k in sorted(keys)}
 
 
 def bloch_measure(state, q: int) -> BlochVector:

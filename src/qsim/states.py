@@ -25,7 +25,11 @@ post is 2, 4 or 8, each run of post amplitudes is copied as one void
 item, so the copy's inner loop runs along mid. A density matrix is the
 2n-wire register of its buffer, so both processors run the same gate
 kernels. engine.run defers diagonal and anti-diagonal gates and the
-real processor's noise slots, and applies them lazily.
+real processor's noise slots, and applies them lazily. The public
+apply_1q and apply_cnot check their matrix and wires; engine.run, which
+has validated the circuit and computes buffer positions itself, calls
+the unchecked `_apply_1q` (2x2 entries as Python numbers) and
+`_apply_cnot`, which give the same bits.
 
 engine.run also keeps only the wires that have left |0> in its buffer.
 `embed(state, wires, new_wires)` widens a state held on the ascending
@@ -146,10 +150,11 @@ def zero_density(num_qubits: int) -> DensityMatrix:
     return DensityMatrix(num_qubits, mat)
 
 
-def _pair_update(flat: np.ndarray, m: np.ndarray, pre: int, post: int) -> None:
+def _pair_update(flat: np.ndarray, m, pre: int, post: int) -> None:
     """In-place 2x2 update over the (pre, 2, post) striding of `flat`.
 
-    The kernel follows the shape of m. Diagonal: each half is scaled in
+    m is given as its rows of Python numbers, ((a, b), (c, d)). The
+    kernel follows the shape of m. Diagonal: each half is scaled in
     place, and a factor of 1 is skipped, so the identity does nothing.
     Anti-diagonal: the halves swap, each times its phase, and a phase of
     1 is a plain copy. Hadamard-shaped (a == b == c == -d): a butterfly,
@@ -169,7 +174,7 @@ def _pair_update(flat: np.ndarray, m: np.ndarray, pre: int, post: int) -> None:
     top, bot = view[:, 0, :], view[:, 1, :]
     if post < 16 and pre > post:
         top, bot = top.T, bot.T
-    (a, b), (c, d) = m.tolist()
+    (a, b), (c, d) = m
     if b == 0 and c == 0:
         if a != 1:
             np.multiply(top, a, out=top, order="C")
@@ -271,7 +276,22 @@ def apply_1q(state, u: np.ndarray, q: int):
     flat, wires, copies = _register(state)
     for k, off in enumerate(copies):
         w = off + q
-        _pair_update(flat, u if k == 0 else u.conj(), 1 << w, 1 << (wires - 1 - w))
+        _pair_update(flat, (u if k == 0 else u.conj()).tolist(), 1 << w, 1 << (wires - 1 - w))
+    return state
+
+
+def _apply_1q(state, m, q: int):
+    """apply_1q as engine.run calls it, without the checks or the array:
+    m is ((a, b), (c, d)) in Python numbers and q a buffer position, both
+    already valid. On rho the column copy takes conj(m), each entry made
+    a complex number and conjugated in Python, as apply_1q's numpy conj
+    of the complex matrix gives it."""
+    flat, wires, copies = _register(state)
+    for off in copies:
+        if off:
+            m = tuple(tuple(complex(e).conjugate() for e in row) for row in m)
+        w = off + q
+        _pair_update(flat, m, 1 << w, 1 << (wires - 1 - w))
     return state
 
 
@@ -304,6 +324,11 @@ def apply_cnot(state, control: int, target: int):
     _check_qubit(n, target)
     if control == target:
         raise ValueError("cnot control and target must differ")
+    return _apply_cnot(state, control, target)
+
+
+def _apply_cnot(state, control: int, target: int):
+    """apply_cnot without its checks: two distinct, valid buffer positions."""
     flat, wires, copies = _register(state)
     for off in copies:
         _cnot_swap(flat, wires, off + control, off + target)

@@ -13,7 +13,8 @@ from unittest import mock
 import numpy as np
 
 from qsim import engine
-from qsim.circuit import Circuit, Cnot, Gate1, MeasureZ
+from qsim.circuit import (Circuit, Cnot, DeviceModel, Gate1, MeasureZ, Violation,
+                          ViolationCode, _is_int)
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import _PROB_FLOOR, Histogram, marginal, probabilities
 
@@ -86,8 +87,9 @@ def evolve_dense(circuit: Circuit, start: np.ndarray, slot=()) -> np.ndarray:
 
 @contextmanager
 def engine_calls(name: str, arg: int):
-    """Spy on engine.<name> (a kernel or decohere) and yield the list of
-    its calls as (circuit wire, call args). engine.run passes buffer
+    """Spy on engine.<name> (the unchecked kernel `_apply_1q` or
+    `_apply_cnot`, or `decohere`) and yield the list of its calls as
+    (circuit wire, call args). engine.run passes buffer
     positions: argument `arg` indexes the wires that engine.embed placed
     last, ascending, or every wire when nothing was placed yet (a run
     from an initial state)."""
@@ -106,6 +108,68 @@ def engine_calls(name: str, arg: int):
     with mock.patch.object(engine, "embed", side_effect=spy_embed), \
             mock.patch.object(engine, name, side_effect=spy):
         yield calls
+
+
+def validate_reference(circuit: Circuit, device: DeviceModel | None = None) -> list[Violation]:
+    """circuit.validate as one generic loop, with no fast path: every
+    instruction's `qubits` tuple, isinstance tests and measured-set scan
+    in full. The same findings, in the same order."""
+    found: list[Violation] = []
+    measured: set[int] = set()
+    for idx, instr in enumerate(circuit.instrs):
+        wires = []
+        for q in instr.qubits:
+            if _is_int(q) and 0 <= q < circuit.num_qubits:
+                wires.append(q)
+            else:
+                found.append(Violation(
+                    idx, ViolationCode.QUBIT_OUT_OF_RANGE,
+                    f"q{q} out of range for {circuit.num_qubits}-qubit circuit",
+                ))
+        if isinstance(instr, Gate1) and not isinstance(instr.kind, GateKind):
+            found.append(Violation(
+                idx, ViolationCode.UNKNOWN_GATE,
+                f"unknown gate kind {instr.kind!r}",
+            ))
+        is_gate = isinstance(instr, (Gate1, Cnot))
+        for q in wires:
+            if q in measured:
+                found.append(Violation(
+                    idx, ViolationCode.GATE_AFTER_MEASURE,
+                    f"gate on q{q} after its measurement" if is_gate
+                    else f"q{q} measured twice",
+                ))
+        if not is_gate:
+            measured.update(wires)
+        if device is not None:
+            for q in wires:
+                if q >= device.num_qubits:
+                    found.append(Violation(
+                        idx, ViolationCode.QUBIT_OUT_OF_RANGE,
+                        f"q{q} not present on {device.num_qubits}-qubit "
+                        f"device '{device.name}'",
+                    ))
+            # only a target that passed the wire check above
+            if (isinstance(instr, Cnot) and instr.target in wires
+                    and instr.target not in device.allowed_cnot_targets):
+                allowed = ",".join(f"q{t}" for t in sorted(device.allowed_cnot_targets))
+                found.append(Violation(
+                    idx, ViolationCode.CNOT_TARGET_FORBIDDEN,
+                    f"cx may not target q{instr.target} on '{device.name}' "
+                    f"(allowed targets: {allowed})",
+                ))
+    if device is not None and circuit.num_qubits > device.num_qubits:
+        found.append(Violation(
+            len(circuit.instrs), ViolationCode.QUBIT_OUT_OF_RANGE,
+            f"{circuit.num_qubits}-qubit register does not fit {device.num_qubits}-qubit "
+            f"device '{device.name}'",
+        ))
+    if not measured:
+        found.append(Violation(
+            len(circuit.instrs), ViolationCode.NO_MEASUREMENT,
+            "circuit has no measurement",
+        ))
+    return found
 
 
 def marginal_brute_force(weights: np.ndarray, n: int, measured: list[int]) -> dict[str, float]:

@@ -4,9 +4,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsim import circuit as circuit_module
 from qsim.circuit import (
     BlochMeasure,
     Circuit,
@@ -28,7 +29,8 @@ from qsim.errors import DeviceError, ParseError, UntranspilableError, Validation
 from qsim.gates import GateKind
 from qsim.states import PureState
 
-from oracles import phase_insensitive_overlap, random_circuit, random_pure_vec
+from oracles import (phase_insensitive_overlap, random_circuit, random_pure_vec,
+                     validate_reference)
 
 PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -153,6 +155,61 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse("qubits 2\nh q0\nx q5\nh q0\nx q5\n")
         assert info.value.line == 3
+
+
+class TestVocabulary:
+    """parse looks canonical lines up in a per-size table and checks
+    every other line token by token: both give the same circuit."""
+
+    CANONICAL = "qubits 4\nh q3\ncx q0 q2\nmeasure q3\n"
+
+    @pytest.mark.parametrize("text", [
+        "QUBITS 4\nH Q3\nCX Q0 Q2\nMEASURE Q3\n",  # upper case
+        "qubits\t4\nh\tq3\ncx  q0\t\tq2\nmeasure   q3\n",  # tabs and double spaces
+        "qubits 04\nh q003\ncx q000 q002\nmeasure q03\n",  # leading zeros
+        "qubits 4 # four wires\nh q3# on q3\ncx q0 q2  # entangle\nmeasure q3 #\n",
+        "  qubits 4  \n  h q3\ncx q0 q2  \n measure q3\n",
+    ])
+    def test_odd_spellings_parse_as_the_canonical_lines(self, text):
+        odd, canonical = parse(text), parse(self.CANONICAL)
+        assert odd == canonical
+        assert odd.source_lines == canonical.source_lines == [2, 3, 4]
+        assert format_circuit(odd) == self.CANONICAL
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("h q0\nqubits 2\n", 1, "missing 'qubits <N>' header"),
+        ("qubits 2\nh q0\nh q2\nh q2\n", 3, "qubit q2 out of range for declared size 2"),
+        ("qubits 2\nh q0\ncx q1 q1\n", 3, "cx control and target must differ"),
+        ("qubits 2\nh q0\nqubits 2\n", 3, "duplicate 'qubits' header"),
+        ("qubits 2\nh q0\nhh q0\n", 3, "unknown mnemonic 'hh'"),
+        ("qubits 2\nh q0\nh q0 q1\n", 3, "'h' expects one qubit operand"),
+        ("qubits 2\nh q0\ncx q0\n", 3, "'cx' expects two qubit operands"),
+        ("qubits 2\nh q0\nmeasure 0\n", 3, "malformed qubit token '0' (expected q<i>)"),
+        ("qubits 2\nh q0\nh q-1\n", 3, "malformed qubit token 'q-1' (expected q<i>)"),
+    ])
+    def test_bad_lines_keep_their_errors_and_first_line(self, text, line, message):
+        parse("qubits 2\nh q0\nmeasure q0\n")  # the size-2 table exists already
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.line == line
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_the_table_holds_each_canonical_line_once(self, n):
+        table = circuit_module._vocabulary(n)
+        assert len(table) == 11 * n + n * (n - 1)
+        for line, instr in table.items():
+            assert format_circuit(Circuit(n, [instr])) == f"qubits {n}\n{line}\n"
+        assert circuit_module._vocabulary(n) is table
+        assert circuit_module._vocabulary.cache_info().currsize <= 16
+
+    @PROPERTY_SETTINGS
+    @given(seed=SEEDS, n=st.integers(1, 16), depth=st.integers(0, 40))
+    def test_format_round_trips_through_the_table(self, seed, n, depth):
+        c = random_circuit(np.random.default_rng(seed), n, depth)
+        text = format_circuit(c)
+        assert format_circuit(parse(text)) == text
+        assert len(circuit_module._vocabulary(n)) == 11 * n + n * (n - 1)
 
 
 class TestFormat:
@@ -320,6 +377,56 @@ class TestValidate:
             (2, V.UNKNOWN_GATE, "unknown gate kind 'zz'"),
             (3, V.QUBIT_OUT_OF_RANGE, "5-qubit register does not fit 3-qubit device 'toy3'"),
         ]
+
+
+class _TaggedGate(Gate1):
+    """A Gate1 subclass: validate takes its generic path."""
+
+
+def _wires(n):
+    """Mostly plain ints in range; else numpy ints, bools, floats, or ints
+    out of range."""
+    odd = st.integers(-2, n + 1)
+    odd = odd | odd.map(np.int64) | st.booleans() | st.sampled_from([1.0, 0.5])
+    return st.one_of(*[st.integers(0, n - 1)] * 4, odd)
+
+
+def _cnot_or_none(c, t):
+    try:
+        return Cnot(c, t)
+    except ValueError:  # control == target, compared as numbers
+        return None
+
+
+@st.composite
+def validator_cases(draw):
+    """A circuit with wires of every type in and out of range, unknown gate
+    kinds, gates and markers after a measurement, and maybe a device."""
+    n = draw(st.integers(1, 4))
+    wire = _wires(n)
+    kind = st.sampled_from(list(GateKind)) | st.sampled_from(["h", "bogus", None])
+    instr = st.one_of(
+        st.builds(Gate1, kind, wire),
+        st.builds(_TaggedGate, kind, wire),
+        st.builds(_cnot_or_none, wire, wire).filter(lambda c: c is not None),
+        st.builds(MeasureZ, wire),
+        st.builds(BlochMeasure, wire),
+    )
+    circuit = Circuit(n, draw(st.lists(instr, min_size=4, max_size=24)))
+    size = draw(st.integers(max(1, n - 2), n + 1))
+    targets = draw(st.frozensets(st.integers(0, size - 1)))
+    device = DeviceModel("toy", size, targets, 1e-7, (QubitNoise(0.0, 0.0),) * size)
+    return circuit, draw(st.none() | st.just(device))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(case=validator_cases())
+@example(case=(Circuit(2, [MeasureZ(1), Cnot(0, 1)]), None))  # a cx target after its measurement
+@example(case=(Circuit(2, [BlochMeasure(0), Cnot(0, 1), MeasureZ(1)]), None))  # a cx control
+@example(case=(Circuit(3, [Cnot(0, 2), Cnot(2, 1), MeasureZ(0)]), default_device()))
+def test_validate_equals_the_generic_loop(case):
+    circuit, device = case
+    assert validate(circuit, device) == validate_reference(circuit, device)
 
 
 class TestRetarget:

@@ -15,7 +15,8 @@ from qsim.engine import PROCESSORS, run
 from qsim.errors import CapacityError, ValidationError
 from qsim.gates import GateKind, matrix_of
 from qsim.noise import amplitude_damping, decohere, dephasing
-from qsim.states import DensityMatrix, PureState, apply_1q, apply_cnot
+from qsim.states import (DensityMatrix, PureState, _apply_1q, _apply_cnot, apply_1q,
+                         apply_cnot)
 
 from oracles import (SINGLE_KINDS, engine_calls, evolve_dense, random_density_mat,
                      random_pure_vec)
@@ -231,14 +232,14 @@ def test_pending_flip_keeps_every_amplitude(text):
 @given(instrs=st.lists(st.builds(Gate1, st.sampled_from(MONOMIAL_KINDS), st.integers(0, 3)),
                        max_size=40))
 def test_monomial_gates_make_at_most_one_pass_per_wire(instrs):
-    with engine_calls("apply_1q", 2) as kernel:
+    with engine_calls("_apply_1q", 2) as kernel:
         run(Circuit(4, instrs))
     wires = [wire for wire, _ in kernel]
     assert len(wires) == len(set(wires))
 
 
 def test_flip_twice_makes_no_pass():
-    with mock.patch.object(engine, "apply_1q", wraps=apply_1q) as kernel:
+    with mock.patch.object(engine, "_apply_1q", wraps=_apply_1q) as kernel:
         run(parse("qubits 1\nx q0\nx q0\n"))
     assert kernel.call_count == 0
 
@@ -250,15 +251,15 @@ def test_run_restores_the_ufunc_buffer_size(processor):
 
     def kernel(state, u, q):
         seen.append(np.getbufsize())
-        return apply_1q(state, u, q)
+        return _apply_1q(state, u, q)
 
     old = np.setbufsize(2 * 8192)  # not numpy's default, so a reset to it shows
     try:
-        with mock.patch.object(engine, "apply_1q", side_effect=kernel):
+        with mock.patch.object(engine, "_apply_1q", side_effect=kernel):
             run(circuit, processor)
         assert np.getbufsize() == 2 * 8192
         assert seen and set(seen) == {engine.UFUNC_BUFSIZE}
-        with mock.patch.object(engine, "apply_1q", side_effect=RuntimeError("kernel")):
+        with mock.patch.object(engine, "_apply_1q", side_effect=RuntimeError("kernel")):
             with pytest.raises(RuntimeError, match="kernel"):
                 run(circuit, processor)
         assert np.getbufsize() == 2 * 8192
@@ -307,6 +308,44 @@ def test_wires_in_zero_match_the_all_active_run(processor, max_wires, data):
                                rtol=0, atol=1e-15)
 
 
+def _assert_direct_equals_public(circuit, processor, device):
+    """run drives the unchecked kernels with Python entries and conjugates
+    rho's column copy in Python; the public apply_1q takes a complex
+    array and conjugates it in numpy. Both must give the same bits."""
+
+    def kernel(state, m, q):
+        return apply_1q(state, np.array(m, dtype=complex), q)
+
+    with mock.patch.object(engine, "_apply_1q", side_effect=kernel), \
+            mock.patch.object(engine, "_apply_cnot", side_effect=apply_cnot):
+        public = run(circuit, processor, device)
+    direct = run(circuit, processor, device)
+    read = (lambda s: s.amps) if processor == "ideal" else (lambda s: s.mat)
+    assert np.array_equal(read(direct), read(public))
+    assert read(direct).tobytes() == read(public).tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("processor, max_wires", [("ideal", 9), ("real", 6)])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_direct_kernel_calls_equal_the_public_path(processor, max_wires, data):
+    circuit, device = data.draw(late_wire_circuits(max_wires))
+    # flips still pending when the run ends
+    circuit.instrs += [Gate1(GateKind.X, 0), Gate1(GateKind.Y, circuit.num_qubits - 1)]
+    _assert_direct_equals_public(circuit, processor, device)
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+@pytest.mark.parametrize("text", [
+    "h q0\nx q0\nh q0\n",  # Z pending as ints: settled as diag(1, -1.0)
+    "h q1\nh q0\nx q0\nh q0\ncx q0 q1\n",  # and a cx on top
+    "x q0\ncx q0 q1\nh q1\nx q1\n",  # a flip copied by cx, then X·H
+])
+def test_integer_frames_keep_their_signed_zeros(processor, text):
+    device = _open_device([(0.0, 0.0), (0.01, 0.02)])
+    _assert_direct_equals_public(parse("qubits 2\n" + text), processor, device)
+
+
 @pytest.mark.parametrize("text", [
     "h q1\nx q0\ncx q0 q1\n",  # the flip reaches q1 after the slots q1 has pending
     "x q0\ny q0\nh q1\n",  # diag(-i, i) on q0 in |0>: rho picks up -i and i
@@ -318,7 +357,7 @@ def test_noiseless_wire_in_zero_on_the_real_processor(text):
 
 def test_one_touched_wire_is_a_one_wire_buffer():
     device = _open_device([(0.01, 0.02)] * 10)
-    with engine_calls("apply_1q", 2) as kernel, engine_calls("decohere", 1) as slot:
+    with engine_calls("_apply_1q", 2) as kernel, engine_calls("decohere", 1) as slot:
         run(parse("qubits 10\nh q4\nmeasure q4\n"), "real", device)
     assert [(wire, args[0].num_qubits) for wire, args in kernel] == [(4, 1)]
     assert [wire for wire, _ in slot] == [4]
@@ -327,7 +366,7 @@ def test_one_touched_wire_is_a_one_wire_buffer():
 @pytest.mark.parametrize("processor", PROCESSORS)
 def test_cx_on_wires_in_zero_makes_no_pass(processor):
     device = _open_device([(0.01, 0.02)] * 10)
-    with engine_calls("apply_1q", 2) as kernel, engine_calls("apply_cnot", 1) as cx, \
+    with engine_calls("_apply_1q", 2) as kernel, engine_calls("_apply_cnot", 1) as cx, \
             engine_calls("decohere", 1) as slot:
         state = run(parse("qubits 10\ncx q0 q1\n"), processor, device)
     assert kernel == cx == slot == []
@@ -341,7 +380,7 @@ def test_thousands_of_hadamards_keep_the_norm(processor):
     # 2^1050 on psi and 2^2100 on rho, past the float range
     circuit = parse("qubits 2\n" + "h q0\nt q0\nh q1\ncx q0 q1\n" * 1050 + "measure q0\n")
     device = _open_device([(1e-4, 1e-4)] * 2)
-    with engine_calls("apply_1q", 2) as kernel:
+    with engine_calls("_apply_1q", 2) as kernel:
         _check_against_dense_oracle(processor, circuit, device, None)
     assert sum(_pass_shape(args[1]) == "h" for _, args in kernel) == 2100
     state = run(circuit, processor, device)
@@ -364,7 +403,7 @@ def _pass_shape(u) -> str:
 ])
 def test_settled_phases_make_one_pass(text, passes):
     circuit = parse("qubits 2\n" + text)
-    with engine_calls("apply_1q", 2) as kernel:
+    with engine_calls("_apply_1q", 2) as kernel:
         _check_against_dense_oracle("ideal", circuit, None, None)
     assert [(wire, _pass_shape(args[1])) for wire, args in kernel] == passes
 
@@ -375,15 +414,15 @@ def test_z_on_a_cx_target_passes_to_the_control():
 
     def kernel(state, u, q):
         seen.append((q, _pass_shape(u)))
-        return apply_1q(state, u, q)
+        return _apply_1q(state, u, q)
 
     def cx(state, c, t):
         seen.append(("cx", c, t))
-        return apply_cnot(state, c, t)
+        return _apply_cnot(state, c, t)
 
     circuit = parse("qubits 2\nh q0\nh q1\nz q1\ncx q0 q1\n")
-    with mock.patch.object(engine, "apply_1q", side_effect=kernel), \
-            mock.patch.object(engine, "apply_cnot", side_effect=cx):
+    with mock.patch.object(engine, "_apply_1q", side_effect=kernel), \
+            mock.patch.object(engine, "_apply_cnot", side_effect=cx):
         _check_against_dense_oracle("ideal", circuit, None, None)
     assert seen[:3] == [(0, "h"), (1, "h"), ("cx", 0, 1)]
     assert sorted(seen[3:]) == [(0, "diagonal"), (1, "diagonal")]  # settled at the end
@@ -396,7 +435,7 @@ def test_every_pass_has_a_unit_leading_entry(processor, case, seed):
     # the leading entry of a settled monomial and the 1/√2 of each h go to
     # the register-wide scalar: a settle is one half-pass diag(1, x) or a
     # copy plus [[0, 1], [x, 0]], and an h is [[1, x], [1, -x]]
-    with engine_calls("apply_1q", 2) as kernel:
+    with engine_calls("_apply_1q", 2) as kernel:
         _check_against_dense_oracle(processor, *case, seed)
     for _, args in kernel:
         (a, b), _ = np.asarray(args[1]).tolist()
