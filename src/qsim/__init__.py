@@ -5,79 +5,87 @@ device model (gate set, CNOT-target restriction, per-qubit noise rates),
 and executes them on an ideal statevector engine or a noisy
 density-matrix engine with per-gate-slot amplitude damping and optional
 dephasing. Ships teleportation and idle-decay demo protocols and a CLI.
+
+`import qsim` loads no submodule. Each public name is resolved on first
+access, through the module `__getattr__` of PEP 562, from the submodule
+that `_EXPORTS` names for it, so a process that only parses and validates
+circuits never imports numpy. `from qsim import *` resolves them all.
 """
 
-from types import ModuleType as _ModuleType
+from importlib import import_module as _import_module
 
-from .circuit import (
-    BlochMeasure,
-    Circuit,
-    Cnot,
-    DeviceModel,
-    Gate1,
-    MeasureZ,
-    QubitNoise,
-    Violation,
-    ViolationCode,
-    default_device,
-    format_circuit,
-    load_device,
-    parse,
-    retarget_cnots,
-    validate,
-)
-from .engine import run
-from .errors import (
-    CapacityError,
-    DeviceError,
-    ParseError,
-    QsimError,
-    UntranspilableError,
-    ValidationError,
-)
-from .gates import GateKind, matrix_of
-from .measure import (
-    BlochVector,
-    Histogram,
-    bloch_measure,
-    histogram_json_fields,
-    probabilities,
-    sample,
-)
-from .noise import (
-    KrausChannel,
-    NoiseConfig,
-    amplitude_damping,
-    dephasing,
-)
-from .protocols import (
-    BellIndex,
-    BranchReport,
-    SweepResult,
-    TeleportResult,
-    bell_state,
-    build_teleport_circuit,
-    circuit_correction_table,
-    correction_for,
-    decoherence_sweep,
-    run_teleport,
-    teleport_algebraic,
-)
-from .states import (
-    DensityMatrix,
-    PureState,
-    apply_1q,
-    apply_cnot,
-    is_separable,
-    reduced_density_1q,
-    zero_density,
-    zero_state,
-)
+# Every public name, by the submodule that defines it.
+_EXPORTS = {
+    "circuit": (
+        "BlochMeasure",
+        "Circuit",
+        "Cnot",
+        "DeviceModel",
+        "Gate1",
+        "MeasureZ",
+        "QubitNoise",
+        "Violation",
+        "ViolationCode",
+        "default_device",
+        "format_circuit",
+        "load_device",
+        "parse",
+        "retarget_cnots",
+        "validate",
+    ),
+    "engine": ("run",),
+    "errors": (
+        "CapacityError",
+        "DeviceError",
+        "ParseError",
+        "QsimError",
+        "UntranspilableError",
+        "ValidationError",
+    ),
+    "gates": ("GateKind", "matrix_of"),
+    "measure": (
+        "BlochVector",
+        "Histogram",
+        "bloch_measure",
+        "histogram_json_fields",
+        "probabilities",
+        "sample",
+    ),
+    "noise": ("KrausChannel", "NoiseConfig", "amplitude_damping", "dephasing"),
+    "protocols": (
+        "BellIndex",
+        "BranchReport",
+        "SweepResult",
+        "TeleportResult",
+        "bell_state",
+        "build_teleport_circuit",
+        "circuit_correction_table",
+        "correction_for",
+        "decoherence_sweep",
+        "run_teleport",
+        "teleport_algebraic",
+    ),
+    "states": (
+        "DensityMatrix",
+        "PureState",
+        "apply_1q",
+        "apply_cnot",
+        "is_separable",
+        "reduced_density_1q",
+        "zero_density",
+        "zero_state",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = sorted(_MODULE_OF)
 
-# Every public name is the import block above: modules and _names aside.
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without this call
+    return value

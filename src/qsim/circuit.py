@@ -19,6 +19,8 @@ kind), no further gate may touch it. The validator reports that, plus
 device-level problems, as data rather than exceptions. On the real
 processor, which checks a circuit against a device, the whole register
 must fit the device, even wires that no instruction touches.
+`PROCESSORS` names the two processors here, so that the CLI can offer
+them without loading the numeric engine.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .errors import DeviceError, ParseError, UntranspilableError
 from .gates import GateKind
 
 MAX_QUBITS = 16
+PROCESSORS = ("ideal", "real")  # engine.run's statevector and density-matrix engines
 
 
 def _is_int(x) -> bool:

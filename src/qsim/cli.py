@@ -9,6 +9,12 @@ indices for the built-in circuits) and exits 1; a negative --qubit or
 more --shots than an int64 holds exits 2. main reads the device
 ($QSIM_DEVICE, else the packaged default; --device overrides both)
 before any circuit. Output is byte-deterministic given inputs and seed.
+
+Each subcommand imports only what it runs: argument handling, `validate`
+and the parse step of every subcommand need `circuit`, `gates` and
+`errors` alone, so a `validate` process never loads numpy. `simulate`
+loads the engine and `measure` (and with them numpy), and only
+`teleport` and `sweep` load `protocols`.
 """
 
 from __future__ import annotations
@@ -19,9 +25,17 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .circuit import Circuit, DeviceModel, default_device, load_device, parse, validate
-from .engine import PROCESSORS, check, run
+from .circuit import (
+    PROCESSORS,
+    Circuit,
+    DeviceModel,
+    default_device,
+    load_device,
+    parse,
+    validate,
+)
 from .errors import (
     CapacityError,
     DeviceError,
@@ -29,14 +43,9 @@ from .errors import (
     ValidationError,
 )
 from .gates import GateKind
-from .measure import (
-    Histogram,
-    bloch_measure,
-    histogram_json_fields,
-    probabilities,
-    sample,
-)
-from .protocols import decoherence_sweep, run_teleport
+
+if TYPE_CHECKING:
+    from .measure import Histogram
 
 DEVICE_ENV_VAR = "QSIM_DEVICE"
 DEFAULT_SHOTS = 8192
@@ -118,9 +127,13 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     circuit = parse(args.circuit.read_text(encoding="utf-8"), name=args.circuit.stem)
+    # imported after parse: a malformed file exits 2 without loading numpy
+    from .engine import check, run
+    from .measure import bloch_measure, histogram_json_fields, probabilities, sample
 
     measured = circuit.measured_qubits()
-    if not measured and not circuit.bloch_qubits():
+    tomographed = circuit.bloch_qubits()
+    if not measured and not tomographed:
         # run() evolves a circuit that measures nothing, but there is
         # nothing to report: refuse it here, with all its findings.
         raise ValidationError(check(circuit, args.processor, args.device), circuit)
@@ -129,9 +142,7 @@ def cmd_simulate(args) -> int:
     hist = None
     if args.shots and measured:
         hist = sample(state, measured, args.shots, args.seed)
-    bloch = {
-        f"q{q}": bloch_measure(state, q) for q in circuit.bloch_qubits()
-    }
+    bloch = {f"q{q}": bloch_measure(state, q) for q in tomographed}
 
     if args.fmt == "json":
         artifact = {
@@ -163,6 +174,9 @@ _PREPS = {"one": (GateKind.X,), "plus": (GateKind.H,)}
 
 
 def cmd_teleport(args) -> int:
+    from .measure import histogram_json_fields
+    from .protocols import run_teleport
+
     result = run_teleport(
         _PREPS[args.state],
         processor=args.processor,
@@ -205,6 +219,8 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .protocols import decoherence_sweep
+
     result = decoherence_sweep(
         args.qubit,
         args.n_max,

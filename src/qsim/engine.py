@@ -74,11 +74,11 @@ middle wires of a wide register cost 2-3x as much as on wire 0. The
 returned state is fully evolved and placed on all n wires.
 
 The per-gate Python work is paid once where it can be: each gate's four
-entries come from `_ENTRIES`, built once from `gates.matrix_of`, and a
-pass goes straight to `states._apply_1q` or `states._apply_cnot` with
-the entries as Python numbers and a buffer position run computed
-itself, so no 2x2 array is built, no wire is checked again, and rho's
-column copy is conjugated in Python.
+entries are read from the table `gates.ENTRIES`, and a pass goes
+straight to `states._apply_1q` or `states._apply_cnot` with the entries
+as Python numbers and a buffer position run computed itself, so no 2x2
+array is built, no wire is checked again, and rho's column copy is
+conjugated in Python.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import (
+    PROCESSORS,
     Circuit,
     Cnot,
     DeviceModel,
@@ -96,13 +97,10 @@ from .circuit import (
     validate,
 )
 from .errors import ValidationError
-from .gates import GateKind, matrix_of
+from .gates import ENTRIES
 from .noise import NoiseConfig, decohere
 from .states import DensityMatrix, PureState, _apply_1q, _apply_cnot, check_capacity, embed
 
-PROCESSORS = ("ideal", "real")
-# each gate's (a, b, c, d) = [[a, b], [c, d]], as Python complex numbers
-_ENTRIES = {kind: tuple(matrix_of(kind).ravel().tolist()) for kind in GateKind}
 _IDENTITY = (1, 0, 0, 1)
 _PAULI_X = (0, 1, 1, 0)
 _PAULI_Z = (1, 0, 0, -1)
@@ -227,7 +225,7 @@ def run(
         for instr in circuit.instrs:
             if isinstance(instr, Gate1):
                 q = instr.qubit
-                u = _ENTRIES[instr.kind]
+                u = ENTRIES[instr.kind]
                 a, b, c, d = u
                 if a == 0 or b == c == 0:  # a monomial joins the frame
                     if a == 0:

@@ -6,6 +6,11 @@ two-qubit gate, is the circuit's `Cnot` instruction, not a GateKind.
 Identity is a first-class gate rather than a no-op because the noisy
 engine charges one decoherence slot per gate, so a line of identities
 is a timed idle period.
+
+`ENTRIES` holds each gate's matrix as Python complex numbers, so parsing
+and validating a circuit never import numpy; engine.run reads its gate
+entries from it. `matrix_of` builds the read-only numpy matrix of a gate
+from that table on its first call for the gate.
 """
 
 from __future__ import annotations
@@ -13,8 +18,11 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
+from functools import cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GateKind(str, Enum):
@@ -35,25 +43,31 @@ class GateKind(str, Enum):
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
-def _mat(rows) -> np.ndarray:
-    m = np.array(rows, dtype=complex)
-    m.setflags(write=False)
-    return m
+def _entries(a, b, c, d) -> tuple[complex, complex, complex, complex]:
+    return (complex(a), complex(b), complex(c), complex(d))
 
 
-_MATRICES: dict[GateKind, np.ndarray] = {
-    GateKind.X: _mat([[0, 1], [1, 0]]),
-    GateKind.Y: _mat([[0, -1j], [1j, 0]]),
-    GateKind.Z: _mat([[1, 0], [0, -1]]),
-    GateKind.H: _mat([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]]),
-    GateKind.S: _mat([[1, 0], [0, 1j]]),
-    GateKind.SDG: _mat([[1, 0], [0, -1j]]),
-    GateKind.T: _mat([[1, 0], [0, cmath.exp(1j * math.pi / 4)]]),
-    GateKind.TDG: _mat([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]]),
-    GateKind.ID: _mat([[1, 0], [0, 1]]),
+# each gate's 2x2 matrix [[a, b], [c, d]] as (a, b, c, d); -1j keeps its
+# -0.0 real part, as numpy's complex conversion does
+ENTRIES: dict[GateKind, tuple[complex, complex, complex, complex]] = {
+    GateKind.X: _entries(0, 1, 1, 0),
+    GateKind.Y: _entries(0, -1j, 1j, 0),
+    GateKind.Z: _entries(1, 0, 0, -1),
+    GateKind.H: _entries(_SQRT1_2, _SQRT1_2, _SQRT1_2, -_SQRT1_2),
+    GateKind.S: _entries(1, 0, 0, 1j),
+    GateKind.SDG: _entries(1, 0, 0, -1j),
+    GateKind.T: _entries(1, 0, 0, cmath.exp(1j * math.pi / 4)),
+    GateKind.TDG: _entries(1, 0, 0, cmath.exp(-1j * math.pi / 4)),
+    GateKind.ID: _entries(1, 0, 0, 1),
 }
 
 
+@cache
 def matrix_of(gate: GateKind) -> np.ndarray:
     """Return the 2x2 matrix of a single-qubit gate (read-only array)."""
-    return _MATRICES[gate]
+    import numpy as np
+
+    a, b, c, d = ENTRIES[gate]
+    m = np.array([[a, b], [c, d]])
+    m.setflags(write=False)
+    return m

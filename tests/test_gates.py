@@ -1,9 +1,11 @@
 """Gate matrices: definitions and algebra."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from qsim.gates import GateKind, matrix_of
+from qsim.gates import ENTRIES, GateKind, matrix_of
 
 I2 = np.eye(2)
 SINGLE = list(GateKind)
@@ -55,5 +57,34 @@ def test_identity_gate_is_identity():
 
 
 def test_matrices_are_read_only():
-    with pytest.raises(ValueError):
-        matrix_of(GateKind.X)[0, 0] = 5.0
+    for g in SINGLE:
+        with pytest.raises(ValueError):
+            matrix_of(g)[0, 0] = 5.0
+
+
+# (a, b, c, d) of [[a, b], [c, d]]; a complex repr shows the sign of a zero part
+PINNED_ENTRIES = {
+    GateKind.X: ["0j", "(1+0j)", "(1+0j)", "0j"],
+    GateKind.Y: ["0j", "(-0-1j)", "1j", "0j"],
+    GateKind.Z: ["(1+0j)", "0j", "0j", "(-1+0j)"],
+    GateKind.H: ["(0.7071067811865475+0j)", "(0.7071067811865475+0j)",
+                 "(0.7071067811865475+0j)", "(-0.7071067811865475+0j)"],
+    GateKind.S: ["(1+0j)", "0j", "0j", "1j"],
+    GateKind.SDG: ["(1+0j)", "0j", "0j", "(-0-1j)"],
+    GateKind.T: ["(1+0j)", "0j", "0j", "(0.7071067811865476+0.7071067811865475j)"],
+    GateKind.TDG: ["(1+0j)", "0j", "0j", "(0.7071067811865476-0.7071067811865475j)"],
+    GateKind.ID: ["(1+0j)", "0j", "0j", "(1+0j)"],
+}
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<2d", z.real, z.imag)
+
+
+def test_entry_table_is_pinned_and_matches_the_matrices_bit_for_bit():
+    assert set(ENTRIES) == set(GateKind)
+    for g in SINGLE:
+        assert [repr(z) for z in ENTRIES[g]] == PINNED_ENTRIES[g], g
+        assert all(type(z) is complex for z in ENTRIES[g])
+        assert [_bits(z) for z in ENTRIES[g]] == [
+            _bits(z) for z in matrix_of(g).ravel().tolist()], g

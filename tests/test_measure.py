@@ -142,6 +142,11 @@ class TestProbabilities:
             indices = np.concatenate([[0, (1 << width) - 1], rng.integers(0, 1 << width, 50)])
             assert _bit_keys(indices, width) == [format(i, f"0{width}b") for i in indices]
             assert _bit_keys(np.array([], dtype=np.int64), width) == []
+        # more indices than one key block holds, up to a full 16-wire register
+        for width in (1, 16):
+            for size in (16385, 65536):
+                indices = rng.integers(0, 1 << width, size)
+                assert _bit_keys(indices, width) == [format(i, f"0{width}b") for i in indices]
 
     def test_key_order_is_ascending_qubit_index(self):
         # |01>: q0=0, q1=1 -> key "01" regardless of the order passed in

@@ -1,6 +1,33 @@
-"""The public namespace: every exported name resolves."""
+"""The public namespace, and the modules each CLI process loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import qsim
+
+SRC = Path(qsim.__file__).resolve().parent.parent
+PUBLIC_NAMES = [
+    "BellIndex", "BlochMeasure", "BlochVector", "BranchReport", "CapacityError",
+    "Circuit", "Cnot", "DensityMatrix", "DeviceError", "DeviceModel", "Gate1",
+    "GateKind", "Histogram", "KrausChannel", "MeasureZ", "NoiseConfig", "ParseError",
+    "PureState", "QsimError", "QubitNoise", "SweepResult", "TeleportResult",
+    "UntranspilableError", "ValidationError", "Violation", "ViolationCode",
+    "amplitude_damping", "apply_1q", "apply_cnot", "bell_state", "bloch_measure",
+    "build_teleport_circuit", "circuit_correction_table", "correction_for",
+    "decoherence_sweep", "default_device", "dephasing", "format_circuit",
+    "histogram_json_fields", "is_separable", "load_device", "matrix_of", "parse",
+    "probabilities", "reduced_density_1q", "retarget_cnots", "run", "run_teleport",
+    "sample", "teleport_algebraic", "validate", "zero_density", "zero_state",
+]
+ACCEPTED = "qubits 3\nx q0\nh q1\ncx q1 q2\ncx q0 q2\nh q0\nmeasure q0\nmeasure q1\n"
+# the packaged device allows cx targets q2 only
+FORBIDDEN_CX = "qubits 3\nh q0\ncx q1 q0\nmeasure q0\n"
+MALFORMED = "qubits 3\nfoo q0\n"
 
 
 def test_every_public_name_resolves():
@@ -9,3 +36,52 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from qsim import *", namespace)
     assert set(qsim.__all__) <= set(namespace)
+
+
+def test_public_names_are_pinned():
+    assert sorted(qsim.__all__) == PUBLIC_NAMES
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qsim.no_such_name  # noqa: B018
+
+
+def _modules_after(code: str) -> tuple[object, set[str]]:
+    """(the value of `result`, the names in sys.modules) after running
+    code in a fresh interpreter that imports qsim from this tree."""
+    env = {k: v for k, v in os.environ.items() if k != "QSIM_DEVICE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    report = "import json, sys; print(json.dumps([result, sorted(sys.modules)]))"
+    proc = subprocess.run([sys.executable, "-c", f"result = None\n{code}\n{report}"],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    result, modules = json.loads(proc.stdout.splitlines()[-1])
+    return result, set(modules)
+
+
+def test_import_qsim_loads_no_submodule():
+    _, modules = _modules_after("import qsim")
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("qsim")} == {"qsim"}
+
+
+@pytest.mark.parametrize("text, code", [(ACCEPTED, 0), (FORBIDDEN_CX, 1), (MALFORMED, 2)],
+                         ids=["accepted", "forbidden-cx", "malformed"])
+def test_validate_loads_no_numpy(tmp_path, text, code):
+    path = tmp_path / "c.qc"
+    path.write_text(text)
+    result, modules = _modules_after(
+        f"from qsim.cli import main\nresult = main(['validate', {str(path)!r}])")
+    assert result == code
+    assert "numpy" not in modules
+    assert not modules & {"qsim.engine", "qsim.measure", "qsim.protocols", "qsim.states"}
+
+
+def test_simulate_loads_no_protocols(tmp_path):
+    path = tmp_path / "c.qc"
+    path.write_text(ACCEPTED)
+    result, modules = _modules_after(
+        f"from qsim.cli import main\nresult = main(['simulate', {str(path)!r}, '--seed', '7'])")
+    assert result == 0
+    assert {"numpy", "qsim.engine", "qsim.measure"} <= modules
+    assert "qsim.protocols" not in modules
