@@ -196,7 +196,7 @@ def load_device(path) -> DeviceModel:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DeviceError(f"{path}: {exc}") from exc
     return DeviceModel.from_dict(data)
 

@@ -8,28 +8,29 @@ bitstrings read left to right as q0, q1, ...
 
 Gates are applied by strided pair updates over a state's flat buffer,
 never by building the dense 2^n x 2^n operator (a test-oracle-only
-construction). The update reads the shape of the 2x2 matrix: a diagonal
-gate scales the halves in place (the identity does nothing), an
-anti-diagonal one swaps them, a Hadamard-shaped one is a butterfly, and
-only another dense one needs the full formula. engine.run keeps the
-1/√2 of each h in one register-wide scalar and passes the unscaled
-[[1, x], [1, -x]] (H·diag(1, x) times √2): three ops, none of them a
-multiply when x == 1. On the lowest wires the halves are walked
-transposed, so the inner loops stay long. Most of the rest of a middle
-wire's extra cost is numpy's ufunc buffer: a strided half is copied
-through it, and with the default 8192 elements a gate on wires 4-8 of a
-16-wire register costs 2-3x as much as on wire 0. engine.run runs its
-gate loop under a 256-element buffer, which removes that step. cx swaps
-two quarters over the (pre, 2, mid, 2, post) view of its wires; when
-post is 2, 4 or 8, each run of post amplitudes is copied as one void
-item, so the copy's inner loop runs along mid. A density matrix is the
-2n-wire register of its buffer, so both processors run the same gate
-kernels. engine.run defers diagonal and anti-diagonal gates and the
-real processor's noise slots, and applies them lazily. The public
-apply_1q and apply_cnot check their matrix and wires; engine.run, which
-has validated the circuit and computes buffer positions itself, calls
-the unchecked `_apply_1q` (2x2 entries as Python numbers) and
-`_apply_cnot`, which give the same bits.
+construction). Every single-qubit gate of the set is diagonal,
+anti-diagonal or the Hadamard, and engine.run keeps each gate's leading
+entry and each h's 1/√2 in one register-wide scalar, so the update has
+a kernel for each of the four shapes run passes: diag(1, d) scales one
+half, [[0, 1], [c, 0]] swaps the halves, and the unscaled Hadamard
+[[1, 1], [1, -1]] and [[1, x], [1, -x]] (H·diag(1, x) times √2) are
+butterflies of three ops, none of them a multiply when x == 1. Any other
+matrix, which only the public apply_1q passes, takes the dense formula.
+On the lowest wires the halves are walked transposed, so the inner loops
+stay long. Most of the rest of a middle wire's extra cost is numpy's
+ufunc buffer: a strided half is copied through it, and with the default
+8192 elements a gate on wires 4-8 of a 16-wire register costs 2-3x as
+much as on wire 0. engine.run runs its gate loop under a 256-element
+buffer, which removes that step. cx swaps two quarters over the
+(pre, 2, mid, 2, post) view of its wires; when post is 2, 4 or 8, each
+run of post amplitudes is copied as one void item, so the copy's inner
+loop runs along mid. A density matrix is the 2n-wire register of its
+buffer, so both processors run the same gate kernels. engine.run defers
+diagonal and anti-diagonal gates and the real processor's noise slots,
+and applies them lazily. The public apply_1q and apply_cnot check their
+matrix and wires, then call the unchecked `_apply_1q` (2x2 entries as
+Python numbers) and `_apply_cnot`, which engine.run, having validated
+the circuit and computed buffer positions itself, calls directly.
 
 engine.run also keeps only the wires that have left |0> in its buffer.
 `embed(state, wires, new_wires)` widens a state held on the ascending
@@ -153,18 +154,20 @@ def zero_density(num_qubits: int) -> DensityMatrix:
 def _pair_update(flat: np.ndarray, m, pre: int, post: int) -> None:
     """In-place 2x2 update over the (pre, 2, post) striding of `flat`.
 
-    m is given as its rows of Python numbers, ((a, b), (c, d)). The
-    kernel follows the shape of m. Diagonal: each half is scaled in
-    place, and a factor of 1 is skipped, so the identity does nothing.
-    Anti-diagonal: the halves swap, each times its phase, and a phase of
-    1 is a plain copy. Hadamard-shaped (a == b == c == -d): a butterfly,
-    top - bot into scratch and top + bot in place, then both times a;
-    for a == 1 the scratch is copied back, with no multiply at all.
-    [[1, x], [1, -x]], the unscaled Hadamard after diag(1, x): bot·x
-    into scratch, top - scratch into bot, top + scratch into top. Dense:
-    one copy of the top half plus one scratch buffer. Only the scaled
-    butterfly rounds differently from the dense formula; the other
-    branches differ from it in signed zeros alone.
+    m is given as its rows of Python numbers, ((a, b), (c, d)). There is
+    one kernel for each shape engine.run passes:
+
+    - diag(1, d): bot times d in place, and nothing for d == 1;
+    - [[0, 1], [c, 0]]: the halves swap, top times c on the way, and a
+      c of 1 is a plain copy;
+    - [[1, 1], [1, -1]]: top - bot into scratch, top + bot in place, and
+      the scratch copied back;
+    - [[1, x], [1, -x]]: bot·x into scratch, top - scratch into bot, and
+      top + scratch into top.
+
+    Any other matrix takes the dense formula: one copy of the top half
+    plus one scratch buffer. The four kernels differ from it in signed
+    zeros alone.
 
     On a low wire (post < 16) the halves are walked as their transposed
     (post, pre) views in C order, so every ufunc's inner loop runs over
@@ -175,28 +178,19 @@ def _pair_update(flat: np.ndarray, m, pre: int, post: int) -> None:
     if post < 16 and pre > post:
         top, bot = top.T, bot.T
     (a, b), (c, d) = m
-    if b == 0 and c == 0:
-        if a != 1:
-            np.multiply(top, a, out=top, order="C")
+    if a == 1 and b == c == 0:
         if d != 1:
             np.multiply(bot, d, out=bot, order="C")
         return
-    if a == 0 and d == 0:
+    if a == d == 0 and b == 1:
         saved = top.copy() if c == 1 else np.multiply(top, c, order="C")
-        if b == 1:
-            top[...] = bot
-        else:
-            np.multiply(bot, b, out=top, order="C")
+        top[...] = bot
         bot[...] = saved
         return
-    if a == b == c == -d:
+    if a == b == c == -d == 1:
         diff = np.subtract(top, bot, order="C")
         np.add(top, bot, out=top, order="C")
-        if a == 1:
-            bot[...] = diff
-        else:
-            np.multiply(top, a, out=top, order="C")
-            np.multiply(diff, a, out=bot, order="C")
+        bot[...] = diff
         return
     if a == c == 1 and b == -d:
         scratch = np.multiply(bot, b, order="C")
@@ -273,19 +267,14 @@ def apply_1q(state, u: np.ndarray, q: int):
     if u.shape != (2, 2):
         raise ValueError("single-qubit gate matrix must be 2x2")
     _check_qubit(state.num_qubits, q)
-    flat, wires, copies = _register(state)
-    for k, off in enumerate(copies):
-        w = off + q
-        _pair_update(flat, (u if k == 0 else u.conj()).tolist(), 1 << w, 1 << (wires - 1 - w))
-    return state
+    return _apply_1q(state, u.tolist(), q)
 
 
 def _apply_1q(state, m, q: int):
-    """apply_1q as engine.run calls it, without the checks or the array:
+    """apply_1q without the checks or the array, as engine.run calls it:
     m is ((a, b), (c, d)) in Python numbers and q a buffer position, both
     already valid. On rho the column copy takes conj(m), each entry made
-    a complex number and conjugated in Python, as apply_1q's numpy conj
-    of the complex matrix gives it."""
+    a complex number and conjugated in Python."""
     flat, wires, copies = _register(state)
     for off in copies:
         if off:

@@ -278,9 +278,11 @@ class TestDeviceModel:
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "dev.json"
-        path.write_text("{not json")
-        with pytest.raises(DeviceError):
-            load_device(path)
+        # the deep one overflows the json parser's recursion
+        for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+            path.write_text(text)
+            with pytest.raises(DeviceError, match=re.escape(f"{path}: ")):
+                load_device(path)
 
     @pytest.mark.parametrize("field, value, message", [
         ("num_qubits", 5.7, "num_qubits must be an integer, got 5.7"),

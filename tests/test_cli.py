@@ -320,12 +320,14 @@ class TestRefusals:
 
     def test_bad_device_reported_before_bad_circuit(self, tmp_path, capsys):
         dev = tmp_path / "broken.json"
-        dev.write_text("{")
         path = tmp_path / "bad.qc"
         path.write_text("qubits 2\nfoo q0\n")
-        for command in ("validate", "simulate"):
-            assert main([command, str(path), "--device", str(dev)]) == 2
-            assert capsys.readouterr().err.startswith(f"error: {dev}: ")
+        for text in ("{", "[" * 100_000 + "]" * 100_000):  # the deep one overflows the parser
+            dev.write_text(text)
+            for command in ("validate", "simulate"):
+                assert main([command, str(path), "--device", str(dev)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {dev}: ") and err.count("\n") == 1
 
 
 # Any argv of the four subcommands ends in exit 0, 1 or 2 with no escaping

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qsim.circuit import (Circuit, Cnot, DeviceModel, Gate1, MeasureZ, QubitNoise,
                           default_device, parse)
-from qsim import engine
+from qsim import engine, states
 from qsim.engine import PROCESSORS, run
 from qsim.errors import CapacityError, ValidationError
 from qsim.gates import GateKind, matrix_of
@@ -309,9 +309,10 @@ def test_wires_in_zero_match_the_all_active_run(processor, max_wires, data):
 
 
 def _assert_direct_equals_public(circuit, processor, device):
-    """run drives the unchecked kernels with Python entries and conjugates
-    rho's column copy in Python; the public apply_1q takes a complex
-    array and conjugates it in numpy. Both must give the same bits."""
+    """run drives the unchecked kernels with entries it computes in
+    Python from gates.ENTRIES and its frame; the public apply_1q takes a
+    complex array and passes the entries its tolist gives. Both must give
+    the same bits."""
 
     def kernel(state, m, q):
         return apply_1q(state, np.array(m, dtype=complex), q)
@@ -333,6 +334,24 @@ def test_direct_kernel_calls_equal_the_public_path(processor, max_wires, data):
     # flips still pending when the run ends
     circuit.instrs += [Gate1(GateKind.X, 0), Gate1(GateKind.Y, circuit.num_qubits - 1)]
     _assert_direct_equals_public(circuit, processor, device)
+
+
+def _is_engine_shape(m):
+    """Whether m is diag(1, d), [[0, 1], [c, 0]] or [[1, x], [1, -x]],
+    which takes in the unscaled Hadamard at x == 1."""
+    (a, b), (c, d) = m
+    return a == 1 and b == c == 0 or a == d == 0 and b == 1 or a == c == 1 and b == -d
+
+
+@pytest.mark.parametrize("processor, max_wires", [("ideal", 9), ("real", 6)])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_run_passes_the_pair_kernel_only_its_four_shapes(processor, max_wires, data):
+    circuit, device = data.draw(late_wire_circuits(max_wires))
+    with mock.patch.object(states, "_pair_update", wraps=states._pair_update) as kernel:
+        run(circuit, processor, device)
+    matrices = [call.args[1] for call in kernel.call_args_list]
+    assert all(map(_is_engine_shape, matrices)), matrices
 
 
 @pytest.mark.parametrize("processor", PROCESSORS)

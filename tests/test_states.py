@@ -157,8 +157,11 @@ KERNEL_SHAPES = ("identity", "diagonal", "anti-diagonal", "unit anti-diagonal", 
 
 
 def shaped_matrix(rng, shape: str) -> np.ndarray:
-    """A random 2x2 matrix that takes the kernel branch named `shape`. It
-    need not be unitary: the kernels never assume it."""
+    """A random 2x2 matrix of the shape named `shape`. "identity", "unit
+    anti-diagonal" and both unscaled hadamards are shapes engine.run
+    passes, each with its own kernel; "diagonal", "anti-diagonal",
+    "hadamard" and "dense" take the dense formula. It need not be
+    unitary: the kernels never assume it."""
     if shape == "identity":
         return ID
     if shape == "hadamard":  # a == b == c == -d, with a random complex scale
