@@ -144,6 +144,10 @@ class DeviceModel:
     qubits: tuple[QubitNoise, ...]
 
     def __post_init__(self):
+        try:
+            self.name.encode()  # reports print the name; a lone surrogate cannot be written
+        except UnicodeEncodeError as exc:
+            raise DeviceError(f"device name {self.name!r}: {exc.reason}") from exc
         if self.num_qubits < 1:
             raise DeviceError("device must have at least one qubit")
         if len(self.qubits) != self.num_qubits:
@@ -192,13 +196,18 @@ def _json_number(value, field: str, kind: type = float):
 
 
 def load_device(path) -> DeviceModel:
-    """Load a device model from a JSON file (see DeviceModel.from_dict)."""
-    with open(path, encoding="utf-8") as fh:
+    """Load a device model from a JSON file (see DeviceModel.from_dict).
+
+    A leading byte-order mark is skipped. Every refusal of the file's
+    content (bytes that are not UTF-8, bad JSON, nesting past the
+    parser's recursion limit, an integer past Python's digit limit, a
+    bad field) is a DeviceError that starts with the path.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
         try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+            return DeviceModel.from_dict(json.load(fh))
+        except (ValueError, RecursionError, DeviceError) as exc:
             raise DeviceError(f"{path}: {exc}") from exc
-    return DeviceModel.from_dict(data)
 
 
 def default_device() -> DeviceModel:

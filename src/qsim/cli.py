@@ -10,6 +10,13 @@ more --shots than an int64 holds exits 2. main reads the device
 ($QSIM_DEVICE, else the packaged default; --device overrides both)
 before any circuit. Output is byte-deterministic given inputs and seed.
 
+Circuit and device files are read as UTF-8, a leading byte-order mark
+skipped. A device file whose content is refused, and a circuit file that
+is not UTF-8, print one `error: <path>: <reason>` line and exit 2.
+`simulate_text` is the whole `simulate` artifact of a parsed circuit, the
+exact bytes the subcommand prints; `cmd_simulate` only reads the file and
+emits it.
+
 Each subcommand imports only what it runs: argument handling, `validate`
 and the parse step of every subcommand need `circuit`, `gates` and
 `errors` alone, so a `validate` process never loads numpy. `simulate`
@@ -51,6 +58,7 @@ DEVICE_ENV_VAR = "QSIM_DEVICE"
 DEFAULT_SHOTS = 8192
 MAX_SWEEP_POINTS = 200
 BAR_WIDTH = 60
+FORMATS = ("json", "csv", "ascii")  # simulate --format
 
 
 def _resolve_device(path: Path | None) -> DeviceModel:
@@ -116,8 +124,18 @@ def _histogram_csv(probs: dict[str, float], hist: Histogram | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_circuit(path: Path) -> Circuit:
+    """Parse a circuit file. A leading byte-order mark is skipped, and
+    bytes that are not UTF-8 are refused with the file's name."""
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return parse(text, name=path.stem)
+
+
 def cmd_validate(args) -> int:
-    circuit = parse(args.circuit.read_text(encoding="utf-8"), name=args.circuit.stem)
+    circuit = _read_circuit(args.circuit)
     violations = validate(circuit, args.device)
     if violations:
         raise ValidationError(violations, circuit)
@@ -125,9 +143,20 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    circuit = parse(args.circuit.read_text(encoding="utf-8"), name=args.circuit.stem)
-    # imported after parse: a malformed file exits 2 without loading numpy
+def simulate_text(circuit: Circuit, device: DeviceModel, processor: str, fmt: str,
+                  shots: int | None, seed: int) -> str:
+    """The `qsim simulate` artifact of a parsed circuit, byte for byte.
+
+    `fmt` is one of FORMATS. `shots=None` reports exact probabilities;
+    any other value is the shot count `sample` draws (and refuses when
+    out of range) for a circuit that measures a wire. A circuit with
+    neither readout nor `bloch` marker raises ValidationError with all
+    its findings, as `run` does for a refused one.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
+    # imported here, after the caller's parse: a malformed file exits 2
+    # without loading numpy
     from .engine import check, run
     from .measure import bloch_measure, histogram_json_fields, probabilities, sample
 
@@ -136,37 +165,41 @@ def cmd_simulate(args) -> int:
     if not measured and not tomographed:
         # run() evolves a circuit that measures nothing, but there is
         # nothing to report: refuse it here, with all its findings.
-        raise ValidationError(check(circuit, args.processor, args.device), circuit)
-    state = run(circuit, args.processor, args.device)
+        raise ValidationError(check(circuit, processor, device), circuit)
+    state = run(circuit, processor, device)
     probs = probabilities(state, measured) if measured else {}
     hist = None
-    if args.shots and measured:
-        hist = sample(state, measured, args.shots, args.seed)
+    if shots is not None and measured:
+        hist = sample(state, measured, shots, seed)
     bloch = {f"q{q}": bloch_measure(state, q) for q in tomographed}
 
-    if args.fmt == "json":
+    if fmt == "json":
         artifact = {
             "circuit": circuit.name,
-            "device": args.device.name,
-            "processor": args.processor,
+            "device": device.name,
+            "processor": processor,
             **histogram_json_fields(probs, hist),
         }
         if bloch:
             artifact["bloch"] = {key: dataclasses.asdict(b) for key, b in sorted(bloch.items())}
-        text = json.dumps(artifact, indent=2) + "\n"
-    elif args.fmt == "csv":
-        text = _histogram_csv(probs, hist)
-    else:
-        parts = []
-        if probs or hist:
-            parts.append(_histogram_text(probs, hist))
-        for key, b in sorted(bloch.items()):
-            parts.append(
-                f"bloch {key}: x={b.x:+.6f} y={b.y:+.6f} z={b.z:+.6f} "
-                f"theta={b.theta:.6f} phi={b.phi:.6f} r={b.purity_norm:.6f}\n"
-            )
-        text = "".join(parts)
-    _emit(text, args.output)
+        return json.dumps(artifact, indent=2) + "\n"
+    if fmt == "csv":
+        return _histogram_csv(probs, hist)
+    parts = []
+    if probs or hist:
+        parts.append(_histogram_text(probs, hist))
+    for key, b in sorted(bloch.items()):
+        parts.append(
+            f"bloch {key}: x={b.x:+.6f} y={b.y:+.6f} z={b.z:+.6f} "
+            f"theta={b.theta:.6f} phi={b.phi:.6f} r={b.purity_norm:.6f}\n"
+        )
+    return "".join(parts)
+
+
+def cmd_simulate(args) -> int:
+    circuit = _read_circuit(args.circuit)
+    _emit(simulate_text(circuit, args.device, args.processor, args.fmt,
+                        args.shots, args.seed), args.output)
     return 0
 
 
@@ -267,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[device], help="run a circuit file")
     p_sim.add_argument("circuit", type=Path)
     _add_run_options(p_sim, default_processor="ideal")
-    p_sim.add_argument("--format", choices=("json", "csv", "ascii"),
+    p_sim.add_argument("--format", choices=FORMATS,
                        default="json", dest="fmt")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -1,5 +1,6 @@
 """Text format round-trips, the device validator, and CNOT retargeting."""
 
+import json
 import re
 
 import numpy as np
@@ -278,9 +279,17 @@ class TestDeviceModel:
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "dev.json"
-        # the deep one overflows the json parser's recursion
-        for text in ("{not json", "[" * 100_000 + "]" * 100_000):
-            path.write_text(text)
+        empty = {"name": "empty", "num_qubits": 0, "allowed_cnot_targets": [],
+                 "gate_time_tau_s": 1e-7, "qubits": []}
+        unwritable = {**empty, "name": "q\ud800", "num_qubits": 1,
+                      "qubits": [{"gamma_relax": 0.0, "gamma_phase": 0.0}]}
+        # the deep one overflows the json parser's recursion; then bytes that
+        # are not UTF-8, a value from_dict cannot read, an integer past
+        # Python's digit limit, and two devices __post_init__ refuses: no
+        # qubit, and a name no report can print
+        for text in (b"{not json", b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe", b"[]",
+                     b"1" * 5000, json.dumps(empty).encode(), json.dumps(unwritable).encode()):
+            path.write_bytes(text)
             with pytest.raises(DeviceError, match=re.escape(f"{path}: ")):
                 load_device(path)
 

@@ -4,13 +4,16 @@ import contextlib
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.cli import main
+from qsim.circuit import default_device, load_device, parse
+from qsim.cli import DEFAULT_SHOTS, _violation_report, main, simulate_text
+from qsim.errors import ValidationError
 
 BELL_TEXT = "qubits 2\nh q0\ncx q0 q1\nmeasure q0\nmeasure q1\n"
 TELEPORT_TEXT = (
@@ -322,13 +325,44 @@ class TestRefusals:
         dev = tmp_path / "broken.json"
         path = tmp_path / "bad.qc"
         path.write_text("qubits 2\nfoo q0\n")
-        for text in ("{", "[" * 100_000 + "]" * 100_000):  # the deep one overflows the parser
-            dev.write_text(text)
+        empty = {"name": "empty", "num_qubits": 0, "allowed_cnot_targets": [],
+                 "gate_time_tau_s": 1e-7, "qubits": []}
+        unwritable = {**empty, "name": "q\ud800", "num_qubits": 1,
+                      "qubits": [{"gamma_relax": 0.0, "gamma_phase": 0.0}]}
+        # the deep one overflows the parser; then not UTF-8, not a device
+        # object, past Python's int digit limit, a device with no qubit and
+        # one whose name cannot be printed
+        for text in (b"{", b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe", b"[]", b"1" * 5000,
+                     json.dumps(empty).encode(), json.dumps(unwritable).encode()):
+            dev.write_bytes(text)
             for command in ("validate", "simulate"):
                 assert main([command, str(path), "--device", str(dev)]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith(f"error: {dev}: ") and err.count("\n") == 1
 
+
+@pytest.mark.parametrize("argv", [["validate"], ["simulate", "--seed", "7"]],
+                         ids=["validate", "simulate"])
+def test_circuit_file_with_byte_order_mark_reads_as_plain(argv, tmp_path, monkeypatch):
+    text = (REPO / "circuits" / "bell.qc").read_bytes()
+    runs = []
+    for folder, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "bell.qc").write_bytes(prefix + text)
+        monkeypatch.chdir(tmp_path / folder)  # the same argv prints the same path
+        runs.append(_golden_run([argv[0], "bell.qc", *argv[1:]]))
+    assert runs[0].split("\n", 1)[0] != "exit 2"
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_circuit_file_not_utf8_names_itself(command, tmp_path, capsys):
+    path = tmp_path / "bad.qc"
+    path.write_bytes(b"qubits 1\n\xff\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 # Any argv of the four subcommands ends in exit 0, 1 or 2 with no escaping
 # exception, and prints the same stdout when run again. Circuit text mixes
@@ -432,6 +466,122 @@ def test_stdout_matches_golden(name, monkeypatch):
     expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
     assert _golden_run(GOLDEN_CASES[name]) == expected
 
+
+
+# simulate_text is the artifact of `qsim simulate`: on every golden simulate
+# invocation, sampled and exact, it returns main's stdout, and it raises the
+# refusal main reports.
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+@pytest.mark.parametrize("name", sorted(n for n, argv in GOLDEN_CASES.items()
+                                        if argv[0] == "simulate"))
+def test_simulate_text_is_mains_stdout(name, exact, monkeypatch):
+    monkeypatch.delenv("QSIM_DEVICE", raising=False)
+    argv = GOLDEN_CASES[name]
+    opts = dict(zip(argv[2::2], argv[3::2]))  # every option here takes a value
+    path = REPO / argv[1]
+    circuit = parse(path.read_text(encoding="utf-8"), name=path.stem)
+    code, stdout = _golden_run(argv + ["--probabilities"] * exact).split("\n", 1)
+
+    def text():
+        return simulate_text(circuit, default_device(), opts.get("--processor", "ideal"),
+                             opts["--format"], None if exact else DEFAULT_SHOTS,
+                             int(opts["--seed"]))
+
+    if code == "exit 0":
+        assert text() == stdout
+    else:
+        assert code == "exit 1"
+        with pytest.raises(ValidationError) as refused:
+            text()
+        assert _violation_report(refused.value.circuit, refused.value.violations) == stdout
+
+
+@pytest.mark.parametrize("fmt, shots, message", [
+    ("xml", None, "format must be one of json, csv, ascii, got 'xml'"),
+    ("json", 0, "shots must be in 1..2**63-1, got 0"),
+])
+def test_simulate_text_refuses_bad_format_and_shots(fmt, shots, message):
+    circuit = parse(BELL_TEXT)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_text(circuit, default_device(), "ideal", fmt, shots, 7)
+
+
+# Any JSON value or raw bytes as --device: validate and a real-processor
+# simulate either succeed, print a validator report (exit 1), or print one
+# error line that names the device file (exit 2), and never raise.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _spoil(device, change):
+    """device unchanged (change None), or with change = (field, []) dropping
+    the field and (field, [v]) setting it to v."""
+    if change is None:
+        return device
+    field, value = change
+    rest = {k: v for k, v in device.items() if k != field}
+    if value:
+        rest[field] = value[0]
+    return rest
+
+
+def _device(n):
+    """A legal n-wire device, or one whose one field is dropped or
+    replaced by any JSON value."""
+    fields = {
+        "name": st.text(max_size=8),
+        "num_qubits": st.just(n),
+        "allowed_cnot_targets": st.lists(st.integers(0, n - 1), max_size=2),
+        "gate_time_tau_s": st.floats(1e-9, 1e-6),
+        "qubits": st.lists(st.fixed_dictionaries({"gamma_relax": st.floats(0, 1),
+                                                  "gamma_phase": st.floats(0, 1)}),
+                           min_size=n, max_size=n),
+    }
+    change = st.tuples(st.sampled_from(sorted(fields)), st.lists(_JSON, max_size=1))
+    return st.builds(_spoil, st.fixed_dictionaries(fields), st.none() | change)
+
+
+_DEVICE_BYTES = st.one_of(
+    st.builds(lambda bom, device: bom + json.dumps(device).encode(),
+              st.sampled_from([b"", b"\xef\xbb\xbf"]), st.integers(1, 5).flatmap(_device)),
+    st.one_of(_JSON.map(lambda v: json.dumps(v).encode()), st.binary(max_size=24),
+              st.just(b"1" * 5000)),
+)
+
+
+@pytest.fixture(scope="module")
+def device_case(tmp_path_factory):
+    """(circuit, device) paths; the circuit needs 2 wires and q0 as a cx target."""
+    folder = tmp_path_factory.mktemp("device-property")
+    (folder / "c.qc").write_text("qubits 2\nh q1\ncx q1 q0\nmeasure q0\n")
+    return folder / "c.qc", folder / "device.json"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(content=_DEVICE_BYTES)
+def test_any_device_file_is_ok_a_report_or_one_named_error(device_case, content):
+    circuit, device_path = device_case
+    device_path.write_bytes(content)
+    for argv in (["validate"], ["simulate", "--processor", "real", "--probabilities"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(circuit), *argv[1:], "--device", str(device_path)])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == ""
+            if argv[0] == "validate":
+                assert out == f"{circuit}: ok on device '{load_device(device_path).name}'\n"
+            else:
+                assert json.loads(out)["processor"] == "real"
+        elif code == 1:
+            assert err == "" and out.startswith(("line ", "end of circuit: "))
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {device_path}: ") and err.count("\n") == 1
 
 if __name__ == "__main__":
     os.environ.pop("QSIM_DEVICE", None)

@@ -65,13 +65,15 @@ def test_import_qsim_loads_no_submodule():
     assert {m for m in modules if m.startswith("qsim")} == {"qsim"}
 
 
-@pytest.mark.parametrize("text, code", [(ACCEPTED, 0), (FORBIDDEN_CX, 1), (MALFORMED, 2)],
-                         ids=["accepted", "forbidden-cx", "malformed"])
-def test_validate_loads_no_numpy(tmp_path, text, code):
+@pytest.mark.parametrize("command, text, code", [
+    ("validate", ACCEPTED, 0), ("validate", FORBIDDEN_CX, 1), ("validate", MALFORMED, 2),
+    ("simulate", MALFORMED, 2),  # numpy loads only once the circuit has parsed
+], ids=["accepted", "forbidden-cx", "malformed", "simulate-malformed"])
+def test_validate_loads_no_numpy(tmp_path, command, text, code):
     path = tmp_path / "c.qc"
     path.write_text(text)
     result, modules = _modules_after(
-        f"from qsim.cli import main\nresult = main(['validate', {str(path)!r}])")
+        f"from qsim.cli import main\nresult = main([{command!r}, {str(path)!r}])")
     assert result == code
     assert "numpy" not in modules
     assert not modules & {"qsim.engine", "qsim.measure", "qsim.protocols", "qsim.states"}
