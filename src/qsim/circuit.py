@@ -19,8 +19,8 @@ kind), no further gate may touch it. The validator reports that, plus
 device-level problems, as data rather than exceptions. On the real
 processor, which checks a circuit against a device, the whole register
 must fit the device, even wires that no instruction touches.
-`PROCESSORS` names the two processors here, so that the CLI can offer
-them without loading the numeric engine.
+`PROCESSORS` names the two processors and `check` their rule here, so
+that the CLI can offer them and refuse a circuit without numpy.
 """
 
 from __future__ import annotations
@@ -422,6 +422,14 @@ def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violat
             "circuit has no measurement",
         ))
     return found
+
+
+def check(circuit: Circuit, processor: str, device: DeviceModel) -> list[Violation]:
+    """validate() under the processor's rules: the CNOT-target rule and
+    the chip size are hardware constraints, checked on the real one only."""
+    if processor not in PROCESSORS:
+        raise ValueError(f"processor must be one of {PROCESSORS}, got {processor!r}")
+    return validate(circuit, device if processor == "real" else None)
 
 
 def _check_instruction(found: list[Violation], measured: set[int], idx: int,

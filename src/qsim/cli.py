@@ -20,7 +20,8 @@ emits it.
 Each subcommand imports only what it runs: argument handling, `validate`
 and the parse step of every subcommand need `circuit`, `gates` and
 `errors` alone, so a `validate` process never loads numpy. `simulate`
-loads the engine and `measure` (and with them numpy), and only
+loads the engine and `measure` (and with them numpy) only once the
+circuit has parsed and has a `measure` or `bloch` to report, and only
 `teleport` and `sweep` load `protocols`.
 """
 
@@ -38,6 +39,7 @@ from .circuit import (
     PROCESSORS,
     Circuit,
     DeviceModel,
+    check,
     default_device,
     load_device,
     parse,
@@ -103,24 +105,21 @@ def _ascii_bars(rows: list[tuple[str, str, float]]) -> str:
 def _histogram_text(probs: dict[str, float], hist: Histogram | None) -> str:
     if hist is not None:
         header = f"counts ({hist.shots} shots, seed {hist.seed}, rng {hist.rng})\n"
-        rows = [
-            (k, f"{hist.counts.get(k, 0):>8}  {hist.counts.get(k, 0) / hist.shots:8.6f}",
-             hist.counts.get(k, 0) / hist.shots)
-            for k in sorted(probs)
-        ]
+        counts = {k: hist.counts.get(k, 0) for k in probs}
+        rows = [(k, f"{c:>8}  {c / hist.shots:8.6f}", c / hist.shots) for k, c in counts.items()]
     else:
         header = "exact probabilities\n"
-        rows = [(k, f"{p:8.6f}", p) for k, p in sorted(probs.items())]
+        rows = [(k, f"{p:8.6f}", p) for k, p in probs.items()]
     return header + _ascii_bars(rows)
 
 
 def _histogram_csv(probs: dict[str, float], hist: Histogram | None) -> str:
     if hist is None:
         lines = ["bitstring,probability"]
-        lines += [f"{k},{p!r}" for k, p in sorted(probs.items())]
+        lines += [f"{k},{p!r}" for k, p in probs.items()]
     else:
         lines = ["bitstring,count,probability"]
-        lines += [f"{k},{hist.counts.get(k, 0)},{probs[k]!r}" for k in sorted(probs)]
+        lines += [f"{k},{hist.counts.get(k, 0)},{p!r}" for k, p in probs.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -155,17 +154,17 @@ def simulate_text(circuit: Circuit, device: DeviceModel, processor: str, fmt: st
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    # imported here, after the caller's parse: a malformed file exits 2
-    # without loading numpy
-    from .engine import check, run
-    from .measure import bloch_measure, histogram_json_fields, probabilities, sample
-
     measured = circuit.measured_qubits()
     tomographed = circuit.bloch_qubits()
     if not measured and not tomographed:
         # run() evolves a circuit that measures nothing, but there is
         # nothing to report: refuse it here, with all its findings.
         raise ValidationError(check(circuit, processor, device), circuit)
+    # imported here, after the caller's parse and the refusal above: a
+    # malformed file or a circuit with no readout exits without numpy
+    from .engine import run
+    from .measure import bloch_measure, histogram_json_fields, probabilities, sample
+
     state = run(circuit, processor, device)
     probs = probabilities(state, measured) if measured else {}
     hist = None

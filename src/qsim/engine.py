@@ -17,10 +17,11 @@ run: at most two flushes per gate, plus one per noisy wire at the end.
 Gates that are diagonal or anti-diagonal (x, y, z, s, sdg, t, tdg, id)
 are deferred as well, as in a Pauli frame (Knill, Nature 434, 39
 (2005)). Each wire keeps one pending monomial M_q, a diagonal or
-anti-diagonal 2x2 matrix, and one scalar, `scale`, is kept for the
-whole register. The invariant is: true state = scale · (pending slots)
-∘ (⊗ M_q) applied to (buffer ⊗ |0> on every untouched wire). Such a
-gate U only sets M_q <- U·M_q, so it makes no pass on the ideal
+anti-diagonal 2x2 matrix; the register keeps one scalar, `scale`, and
+a count, `hs`, of h gates whose factor c (1/√2 on psi, 1/2 on rho) is
+still owed. The invariant is: true state = scale · c^hs · (pending
+slots) ∘ (⊗ M_q) applied to (buffer ⊗ |0> on every untouched wire).
+Such a gate U only sets M_q <- U·M_q, so it makes no pass on the ideal
 processor. The slot commutes with diagonals only, so on the real
 processor an anti-diagonal gate flushes its wire first, and a flush
 applies a pending anti-diagonal M_q before the slots.
@@ -28,15 +29,17 @@ applies a pending anti-diagonal M_q before the slots.
 Applying ("settling") M_q moves its leading entry into scale:
 diag(a, d) is a·diag(1, d/a), one half-pass, or none when d == a or
 the wire is still in |0>; [[0, b], [c, 0]] is b·[[0, 1], [c/b, 0]], a copy plus
-one multiply. An h runs unscaled, as [[1, 1], [1, -1]] with its 1/√2
-(the gate table's constant) moved into scale, and absorbs a diagonal
-pending on its wire: H·diag(p, r) = p/√2·[[1, r/p], [1, -r/p]], one
-three-op pass. On rho the scalar is scale·conj(scale): a unit-modulus
-entry adds |a|² = 1, so only the h gates count, as exactly 1/2 each.
-The unscaled buffer grows by √2 per h on psi and by 2 on rho, so every
-64 h gates it is rescaled by an exact power of two, and scale is
-applied once at the end. Exact powers of two change no rounding: a
-noise slot on the unscaled rho rounds as it would on the scaled one.
+one multiply. An h runs unscaled, as [[1, 1], [1, -1]], counts its c,
+and absorbs a diagonal pending on its wire: H·diag(p, r) =
+p/√2·[[1, r/p], [1, -r/p]], one three-op pass, p into scale. On rho
+scale stays 1, as only unit-modulus entries reach it. The unscaled
+buffer grows by 1/c per h, so every 64 h gates it is rescaled by the
+exact power of two they owe. The end folds what is still owed into
+scale, a power of two times the gate table's rounded 1/√2 only for an
+odd count on psi, and applies scale once: an ideal run of an even
+number of h gates and no other phase rounds no 1/√2. Exact powers of
+two change no rounding: a noise slot on the unscaled rho rounds as it
+would on the scaled one.
 
 Four identities keep a monomial pending past the gates that would
 otherwise apply it:
@@ -91,13 +94,12 @@ from .circuit import (
     Cnot,
     DeviceModel,
     Gate1,
-    Violation,
     ViolationCode,
+    check,
     default_device,
-    validate,
 )
 from .errors import ValidationError
-from .gates import ENTRIES
+from .gates import ENTRIES, GateKind
 from .noise import NoiseConfig, decohere
 from .states import DensityMatrix, PureState, _apply_1q, _apply_cnot, check_capacity, embed
 
@@ -105,6 +107,7 @@ _IDENTITY = (1, 0, 0, 1)
 _PAULI_X = (0, 1, 1, 0)
 _PAULI_Z = (1, 0, 0, -1)
 _RENORMALIZE_EVERY = 64  # h gates: the unscaled buffer grows by at most 2^64 in between
+_SQRT_HALF = ENTRIES[GateKind.H][0]  # 1/√2, rounded: an h's factor on psi
 UFUNC_BUFSIZE = 256  # elements, for the gate loop (numpy's default is 8192)
 
 
@@ -118,17 +121,6 @@ def _product(u, m):
 def _diagonal(m):
     """(p, r) for a monomial m that is diag(p, r) or X·diag(p, r)."""
     return (m[0], m[3]) if m[0] else (m[2], m[1])
-
-
-def check(circuit: Circuit, processor: str, device: DeviceModel) -> list[Violation]:
-    """validate() under the processor's rules.
-
-    The CNOT-target rule and the chip size are hardware constraints, so
-    only the real processor checks the circuit against `device`.
-    """
-    if processor not in PROCESSORS:
-        raise ValueError(f"processor must be one of {PROCESSORS}, got {processor!r}")
-    return validate(circuit, device if processor == "real" else None)
 
 
 def run(
@@ -179,8 +171,8 @@ def run(
     flushed = dict.fromkeys(rates, 0)  # gate count at each noisy wire's last flush
     gates = 0
     frame = {}  # wire -> its pending monomial M_q, as (a, b, c, d)
-    scale = 1  # the register-wide scalar: phases and 1/√2 per h on psi, 1/2 per h on rho
-    hs = 0  # h gates since the buffer was last renormalized
+    scale = 1  # the register-wide scalar of the pending phases, on psi only
+    hs = 0  # h gates since the last renormalization: 1/√2 each owed on psi, 1/2 on rho
 
     def place(q):
         """q's buffer position; q joins the buffer, in |0>, if it is not there."""
@@ -198,6 +190,9 @@ def run(
     def rescale(f):
         buf = state.mat if real else state.amps
         buf *= f
+
+    def owed():  # c^hs: a power of two, times one rounded 1/√2 for an odd hs on psi
+        return 2.0 ** -hs if real else 2.0 ** -(hs // 2) * (_SQRT_HALF if hs % 2 else 1)
 
     def settle(q, m):
         """Apply M_q as its leading entry, into the scalar, times one
@@ -239,12 +234,10 @@ def run(
                     kernel(q, ((1, x), (1, -x)))
                     if m[0] == 0:  # H·X·diag(p, r) = Z·H·diag(p, r)
                         frame[q] = _PAULI_Z
-                    scale *= 0.5 if real else a * p
+                    scale *= 1 if real else p
                     hs += 1
-                    if hs == _RENORMALIZE_EVERY:  # by 2^hs on rho, 2^(hs/2) on psi
-                        f = 2.0 ** (hs if real else hs // 2)
-                        rescale(1 / f)
-                        scale *= f
+                    if hs == _RENORMALIZE_EVERY:
+                        rescale(owed())
                         hs = 0
             elif isinstance(instr, Cnot):
                 ctl, tgt = instr.control, instr.target
@@ -273,6 +266,7 @@ def run(
         flush(*rates)
         for q, m in frame.items():
             settle(q, m)
+        scale *= owed()
         if scale != 1:
             rescale(scale)
     finally:

@@ -5,13 +5,14 @@ order, leftmost bit = lowest measured index, consistent with the global
 qubit-0-is-most-significant convention. `marginal` is the one place
 that validates measured wires and clips negative populations, and
 `sample` draws from it. Both build their bitstring keys in bulk
-(`_bit_keys`): a uint32 matrix of UCS4 code points for up to 16 384
-kept indices at a time, viewed as fixed-width unicode items, not one
-`format` call per entry. Their keys come in index order, which is
-sorted order, so `histogram_json_fields` copies those maps whole. Shot sampling uses
-numpy's PCG64 generator; the algorithm identifier travels with every
-histogram so results are reproducible across platforms from (state,
-qubits, shots, seed) alone.
+(`_bit_keys`): one uint32 matrix of UCS4 code points, a row per kept
+index, viewed as fixed-width unicode items, not one `format` call per
+entry. Each map is built once, in index order, which is key order, and
+`histogram_json_fields` returns it as built: a caller that edits the
+artifact's maps edits its own. Shot sampling uses numpy's PCG64
+generator; the algorithm identifier travels with every histogram so
+results are reproducible across platforms from (state, qubits, shots,
+seed) alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ RNG_ALGORITHM = "pcg64"
 # Keys below this weight are dropped from probability maps; small enough
 # that a 16-qubit map still sums to 1 within 1e-10.
 _PROB_FLOOR = 1e-15
-_KEY_BLOCK = 16384  # rows per key block: 1 MiB of uint32 at 16 wires
 
 
 @dataclass
@@ -93,22 +93,16 @@ def marginal(state, measured: Sequence[int]) -> np.ndarray:
 
 
 def _bit_keys(indices: np.ndarray, width: int) -> list[str]:
-    """`format(i, f"0{width}b")` of every index, built as a uint32 matrix
-    of UCS4 code points (a row per index, most significant bit first),
-    whose rows, viewed as `U{width}` items, are the keys. The matrix
-    holds at most `_KEY_BLOCK` rows and is refilled for each block of
-    indices, so its size stays bounded on a 16-wire register."""
-    chars = np.empty((min(len(indices), _KEY_BLOCK), width), dtype=np.uint32)
-    keys = []
-    for start in range(0, len(indices), _KEY_BLOCK):
-        bits = indices[start:start + _KEY_BLOCK].astype(np.uint32)  # at most 16 wires
-        block = chars[:len(bits)]
-        for j in range(width):
-            np.right_shift(bits, width - 1 - j, out=block[:, j])
-        block &= 1
-        block += ord("0")
-        keys += block.view(f"U{width}").ravel().tolist()
-    return keys
+    """`format(i, f"0{width}b")` of every index, built as one uint32
+    matrix of UCS4 code points (a row per index, most significant bit
+    first), whose rows, viewed as `U{width}` items, are the keys."""
+    bits = indices.astype(np.uint32)  # at most 16 wires
+    chars = np.empty((len(bits), width), dtype=np.uint32)
+    for j in range(width):
+        np.right_shift(bits, width - 1 - j, out=chars[:, j])
+    chars &= 1
+    chars += ord("0")
+    return chars.view(f"U{width}").ravel().tolist()
 
 
 def probabilities(state, measured: Sequence[int]) -> dict[str, float]:
@@ -153,7 +147,8 @@ def histogram_json_fields(probs: dict[str, float],
 
     `probs` carries the exact Born values; `hist` the sampled counts, or
     None for exact-only artifacts (shots 0, seed and rng null). Keys are
-    emitted sorted so serialization is byte-stable.
+    emitted in ascending order so serialization is byte-stable; the maps
+    `probabilities` and `sample` build come back as they are.
     """
     return {
         "shots": hist.shots if hist else 0,
@@ -165,13 +160,13 @@ def histogram_json_fields(probs: dict[str, float],
 
 
 def _sorted_map(mapping: dict) -> dict:
-    """A copy of `mapping` with its keys in sorted order. `probabilities`
-    and `sample` build their keys in index order, which is sorted order,
-    so such a map is copied whole rather than rebuilt key by key."""
-    keys = list(mapping)
-    if keys == sorted(keys):
-        return dict(mapping)
-    return {k: mapping[k] for k in sorted(keys)}
+    """`mapping` itself if its keys are in ascending order, as
+    `probabilities` and `sample` build them; else a copy in that order,
+    so the caller's dict is never reordered."""
+    keys = sorted(mapping)
+    if keys == list(mapping):
+        return mapping
+    return {k: mapping[k] for k in keys}
 
 
 def bloch_measure(state, q: int) -> BlochVector:

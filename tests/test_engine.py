@@ -14,6 +14,7 @@ from qsim import engine, states
 from qsim.engine import PROCESSORS, run
 from qsim.errors import CapacityError, ValidationError
 from qsim.gates import GateKind, matrix_of
+from qsim.measure import probabilities
 from qsim.noise import amplitude_damping, decohere, dephasing
 from qsim.states import (DensityMatrix, PureState, _apply_1q, _apply_cnot, apply_1q,
                          apply_cnot)
@@ -226,6 +227,42 @@ def test_pending_flip_keeps_every_amplitude(text):
     circuit = parse("qubits 2\n" + text)
     expected = evolve_dense(circuit, np.eye(4, dtype=complex)[0])
     np.testing.assert_allclose(run(circuit).amps, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("hs, expected", [(2, 0.25), (4, 0.0625)])
+def test_even_h_count_rounds_no_sqrt_half(hs, expected):
+    text = f"qubits {hs}\n" + "".join(f"h q{q}\n" for q in range(hs))
+    circuit = parse(text + "".join(f"measure q{q}\n" for q in range(hs)))
+    probs = probabilities(run(circuit), circuit.measured_qubits())
+    assert len(probs) == 1 << hs
+    assert set(probs.values()) == {expected}
+
+
+CLIFFORD_PAULI_KINDS = (GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.ID)
+
+
+@st.composite
+def even_h_circuits(draw):
+    """A circuit of x y z h id cx on 1-8 wires with an even number of h
+    gates, every wire measured."""
+    n = draw(st.integers(1, 8))
+    one = st.builds(Gate1, st.sampled_from(CLIFFORD_PAULI_KINDS), st.integers(0, n - 1))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    instrs = draw(st.lists(one | pair.map(lambda p: Cnot(*p)) if n > 1 else one, max_size=40))
+    if sum(isinstance(i, Gate1) and i.kind is GateKind.H for i in instrs) % 2:
+        instrs.append(Gate1(GateKind.H, draw(st.integers(0, n - 1))))
+    return Circuit(n, instrs + [MeasureZ(q) for q in range(n)])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(circuit=even_h_circuits())
+def test_even_h_count_gives_exact_dyadic_probabilities(circuit):
+    # every weight of such a stabilizer state is k / 2**n; with the 1/√2
+    # factors folded as powers of two, none is rounded
+    n = circuit.num_qubits
+    probs = probabilities(run(circuit), circuit.measured_qubits())
+    assert all((p * 2**n).is_integer() for p in probs.values())
+    assert sum(probs.values()) == 1.0
 
 
 @PROPERTY_SETTINGS

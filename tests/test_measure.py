@@ -13,6 +13,7 @@ from qsim.circuit import parse
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import (
     RNG_ALGORITHM,
+    Histogram,
     _bit_keys,
     bloch_measure,
     histogram_json_fields,
@@ -142,7 +143,7 @@ class TestProbabilities:
             indices = np.concatenate([[0, (1 << width) - 1], rng.integers(0, 1 << width, 50)])
             assert _bit_keys(indices, width) == [format(i, f"0{width}b") for i in indices]
             assert _bit_keys(np.array([], dtype=np.int64), width) == []
-        # more indices than one key block holds, up to a full 16-wire register
+        # one key matrix holds every index, up to a full 16-wire register
         for width in (1, 16):
             for size in (16385, 65536):
                 indices = rng.integers(0, 1 << width, size)
@@ -284,6 +285,34 @@ class TestSample:
         assert exact["seed"] is None and exact["rng"] is None
         assert exact["counts"] == {}
         assert exact["probabilities"]["00"] == pytest.approx(0.5, abs=1e-12)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data(), density=st.booleans(), seed=st.integers(0, 2**64 - 1),
+           shots=st.integers(1, 10**5))
+    def test_maps_come_in_key_order_and_serialize_as_built(self, data, density, seed, shots):
+        n = data.draw(st.integers(1, 4 if density else 8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        state = (DensityMatrix(n, random_density_mat(rng, n)) if density
+                 else PureState(n, random_pure_vec(rng, n)))
+        measured = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+        probs = probabilities(state, measured)
+        hist = sample(state, measured, shots, seed)
+        assert list(probs) == sorted(probs)
+        assert list(hist.counts) == sorted(hist.counts)
+        fields = histogram_json_fields(probs, hist)
+        assert fields["probabilities"] is probs
+        assert fields["counts"] is hist.counts
+        assert histogram_json_fields(probs)["probabilities"] is probs
+
+    def test_out_of_order_map_comes_back_as_a_sorted_copy(self):
+        probs = {"10": 0.25, "00": 0.5, "11": 0.25}
+        hist = Histogram(shots=4, counts={"11": 1, "00": 3}, seed=0)
+        fields = histogram_json_fields(probs, hist)
+        assert list(fields["probabilities"].items()) == [("00", 0.5), ("10", 0.25), ("11", 0.25)]
+        assert list(fields["counts"].items()) == [("00", 3), ("11", 1)]
+        # the caller's dicts keep their own order
+        assert list(probs) == ["10", "00", "11"]
+        assert list(hist.counts) == ["11", "00"]
 
 
 class TestBlochMeasure:

@@ -28,6 +28,7 @@ ACCEPTED = "qubits 3\nx q0\nh q1\ncx q1 q2\ncx q0 q2\nh q0\nmeasure q0\nmeasure 
 # the packaged device allows cx targets q2 only
 FORBIDDEN_CX = "qubits 3\nh q0\ncx q1 q0\nmeasure q0\n"
 MALFORMED = "qubits 3\nfoo q0\n"
+NO_READOUT = "qubits 1\nh q0\n"
 
 
 def test_every_public_name_resolves():
@@ -68,7 +69,8 @@ def test_import_qsim_loads_no_submodule():
 @pytest.mark.parametrize("command, text, code", [
     ("validate", ACCEPTED, 0), ("validate", FORBIDDEN_CX, 1), ("validate", MALFORMED, 2),
     ("simulate", MALFORMED, 2),  # numpy loads only once the circuit has parsed
-], ids=["accepted", "forbidden-cx", "malformed", "simulate-malformed"])
+    ("simulate", NO_READOUT, 1),  # and has a measure or bloch to report
+], ids=["accepted", "forbidden-cx", "malformed", "simulate-malformed", "simulate-no-readout"])
 def test_validate_loads_no_numpy(tmp_path, command, text, code):
     path = tmp_path / "c.qc"
     path.write_text(text)
