@@ -10,9 +10,9 @@ lines ignored)::
     measure q<i>        computational-basis measurement
     bloch q<i>          single-qubit tomography marker
 
-<N> and <i> are written in ASCII digits 0-9 only. `parse` keeps, per
-register size, a table of every canonical line (as format_circuit writes
-it) and checks token by token only the lines that table lacks.
+<N> and <i> are written in ASCII digits 0-9 only. `_line` spells each
+canonical line, for format_circuit and for the per-size table in which
+`parse` looks a line up before it checks one token by token.
 
 Measurement is terminal per qubit: once a wire is measured (either
 kind), no further gate may touch it. The validator reports that, plus
@@ -244,8 +244,8 @@ _GRAMMAR = {
     "bloch": (BlochMeasure, 1),
 }
 
-# Its inverse, keyed as format_circuit looks an instruction up: a Gate1 by
-# its kind, any other instruction by its class.
+# Its inverse, keyed as _line looks an instruction up: a Gate1 by its
+# kind, any other instruction by its class.
 _MNEMONICS = {
     make.args[0] if isinstance(make, partial) else make: mnemonic
     for mnemonic, (make, _) in _GRAMMAR.items()
@@ -268,17 +268,22 @@ def _clip(text: str) -> str:
     return text if len(text) <= 12 else f"{text[:9]}... ({len(text)} chars)"
 
 
+def _line(instr: Instruction) -> str:
+    """An instruction's canonical line: ``h q3``, ``cx q1 q2``, ``measure q0``."""
+    mnemonic = _MNEMONICS.get(getattr(instr, "kind", type(instr)))
+    if mnemonic is None:
+        raise TypeError(f"cannot format {type(instr).__name__}")
+    return " ".join([mnemonic, *(f"q{q}" for q in instr.qubits)])
+
+
 @cache  # one table per register size parse accepts: at most MAX_QUBITS
 def _vocabulary(num_qubits: int) -> dict[str, Instruction]:
-    """Every canonical instruction line of a `num_qubits`-wire register
-    (``h q3``, ``cx q1 q2``, ``measure q0``, as format_circuit writes
-    them), mapped to its frozen instruction: 11n + n(n-1) entries, built
-    on first use and kept for the process. Read only."""
-    return {
-        " ".join([mnemonic, *(f"q{q}" for q in wires)]): make(*wires)
-        for mnemonic, (make, arity) in _GRAMMAR.items()
-        for wires in permutations(range(num_qubits), arity)
-    }
+    """Every canonical instruction line of a `num_qubits`-wire register,
+    written through `_line`, mapped to its frozen instruction: 11n +
+    n(n-1) entries, built on first use and kept for the process. Read only."""
+    instrs = (make(*wires) for make, arity in _GRAMMAR.values()
+              for wires in permutations(range(num_qubits), arity))
+    return {_line(instr): instr for instr in instrs}
 
 
 def parse(source: str, name: str = "") -> Circuit:
@@ -355,21 +360,12 @@ def parse(source: str, name: str = "") -> Circuit:
 
 
 def format_circuit(circuit: Circuit) -> str:
-    """Render a circuit in canonical (lowercase) text form.
+    """Render a circuit in canonical (lowercase) form: its header, then each `_line`.
 
     parse(format_circuit(c)) is structurally equal to c, and formatting
     an already-canonical text reproduces it byte for byte.
     """
-    out = [f"qubits {circuit.num_qubits}"]
-    for instr in circuit.instrs:
-        mnemonic = _MNEMONICS.get(getattr(instr, "kind", type(instr)))
-        if mnemonic is None:
-            raise TypeError(f"cannot format {type(instr).__name__}")
-        if isinstance(instr, Cnot):
-            out.append(f"{mnemonic} q{instr.control} q{instr.target}")
-        else:
-            out.append(f"{mnemonic} q{instr.qubit}")
-    return "\n".join(out) + "\n"
+    return "\n".join([f"qubits {circuit.num_qubits}", *map(_line, circuit.instrs)]) + "\n"
 
 
 def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violation]:

@@ -15,7 +15,8 @@ skipped. A device file whose content is refused, and a circuit file that
 is not UTF-8, print one `error: <path>: <reason>` line and exit 2.
 `simulate_text` is the whole `simulate` artifact of a parsed circuit, the
 exact bytes the subcommand prints; `cmd_simulate` only reads the file and
-emits it.
+emits it. The csv format is the histogram only: `bloch` markers are not
+refused there, and their vectors are left out.
 
 Each subcommand imports only what it runs: argument handling, `validate`
 and the parse step of every subcommand need `circuit`, `gates` and

@@ -145,6 +145,8 @@ def run(
         initial: starting state, copied and not mutated; a PureState on
             the ideal processor, a DensityMatrix on the real one.
             |0...0> if omitted, held as only the wires that leave |0>.
+            Either way `check_capacity` first refuses a register wider
+            than the engine holds.
     """
     real = processor == "real"
     if real and device is None:
@@ -157,8 +159,8 @@ def run(
         raise ValidationError(problems, circuit)
     n = circuit.num_qubits
     kind = DensityMatrix if real else PureState
+    check_capacity(kind, n)
     if initial is None:
-        check_capacity(kind, n)
         state = kind(0, np.ones((1, 1) if real else 1))
         pos = {}  # active wire -> its buffer position
     else:

@@ -108,10 +108,7 @@ def teleport_algebraic(
     bob = np.zeros(2, dtype=complex)
     for k in range(2):
         bob[k] = proj @ joint[k::2]  # contract the two sender wires
-    norm = np.linalg.norm(bob)
-    if norm < 1e-12:
-        raise ValueError("branch has zero weight; channel is not entangled")
-    bob /= norm
+    bob /= np.linalg.norm(bob)  # 1/2 for every normalized input: each branch has weight 1/4
     return (
         PureState(1, bob),
         correction_for(channel, alice_outcome),

@@ -37,6 +37,11 @@ engine.run also keeps only the wires that have left |0> in its buffer.
 wire labels `wires` to the superset `new_wires`, with |0> on each added
 wire: it allocates zeros and assigns the old buffer to one strided
 slice, so the bit order above holds within the buffer, among its wires.
+
+One rule bounds a register, `check_capacity`: `circuit.MAX_QUBITS` wires
+(16, the most `parse` accepts) on the statevector engine, 10 on the
+density one. A fresh register, `to_density` and engine.run's `initial`
+are refused through it.
 """
 
 from __future__ import annotations
@@ -45,10 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _is_int
+from .circuit import MAX_QUBITS, _is_int
 from .errors import CapacityError
 
-MAX_PURE_QUBITS = 16
 MAX_DENSITY_QUBITS = 10
 
 
@@ -76,9 +80,9 @@ class PureState:
         """
         vec = np.ascontiguousarray(amps, dtype=complex)
         n = max(int(vec.size).bit_length() - 1, 0)
-        if vec.size != 1 << n or not 1 <= n <= MAX_PURE_QUBITS:
+        if vec.size != 1 << n or not 1 <= n <= MAX_QUBITS:
             raise CapacityError(
-                f"amplitude vector length must be 2^n with 1 <= n <= {MAX_PURE_QUBITS}"
+                f"amplitude vector length must be 2^n with 1 <= n <= {MAX_QUBITS}"
             )
         norm = float(np.linalg.norm(vec))
         if normalize:
@@ -96,10 +100,7 @@ class PureState:
         return float(np.linalg.norm(self.amps))
 
     def to_density(self) -> "DensityMatrix":
-        if self.num_qubits > MAX_DENSITY_QUBITS:
-            raise CapacityError(
-                f"density matrices support at most {MAX_DENSITY_QUBITS} qubits"
-            )
+        check_capacity(DensityMatrix, self.num_qubits)
         return DensityMatrix(self.num_qubits, np.outer(self.amps, self.amps.conj()))
 
 
@@ -126,7 +127,7 @@ class DensityMatrix:
 def check_capacity(kind: type, num_qubits: int) -> None:
     """Refuse a register of `num_qubits` wires that the engine holding
     `kind` (PureState or DensityMatrix) cannot run."""
-    limit, engine = ((MAX_PURE_QUBITS, "statevector") if kind is PureState
+    limit, engine = ((MAX_QUBITS, "statevector") if kind is PureState
                      else (MAX_DENSITY_QUBITS, "density"))
     if not 1 <= num_qubits <= limit:
         raise CapacityError(

@@ -8,6 +8,7 @@ of it shares code with the strided kernels it checks.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -83,6 +84,88 @@ def evolve_dense(circuit: Circuit, start: np.ndarray, slot=()) -> np.ndarray:
         for q, ops in slot:
             state = apply_channel_dense(state, ops, n, q)
     return state
+
+
+# The exact arithmetic of the Clifford+T ring Z[ω], ω = e^{iπ/4}: every gate
+# of the set keeps an amplitude of the form z / √2^k with z = c0 + c1·ω +
+# c2·ω² + c3·ω³ and integer c (Kliuchnikov, Maslov and Mosca,
+# arXiv:1206.5236). An ideal run is then integer arithmetic, with no rounding.
+# The engine's probabilities stay within EXACT_ATOL of it, absolute: at most
+# 3.1e-16 was measured on 6-12 wires, and relative error on a small weight
+# reached ~1.8e3 ulps.
+EXACT_ATOL = 1e-14
+_OMEGA_POWER = {GateKind.Z: 4, GateKind.S: 2, GateKind.SDG: 6, GateKind.T: 1,
+                GateKind.TDG: 7, GateKind.ID: 0}
+
+
+def _times_omega(c: np.ndarray, j: int) -> np.ndarray:
+    """ω^j · z for the coefficients c, shape (4, ...), of z: each ω moves
+    every coefficient one power up, and ω⁴ = -1 brings the top one round
+    negated."""
+    out = np.roll(c, j % 4, axis=0)
+    out[:j % 4] *= -1
+    return -out if j % 8 >= 4 else out
+
+
+def evolve_exact(circuit: Circuit) -> tuple[np.ndarray, int]:
+    """Run a circuit from |0...0> over Z[ω]: (c, k), where c is a (4, 2^n)
+    object array of Python ints and amplitude i is (c0 + c1·ω + c2·ω² +
+    c3·ω³)[i] / √2^k. Markers are skipped."""
+    n = circuit.num_qubits
+    c = np.zeros((4, 1 << n), dtype=object)
+    c[0, 0] = 1
+    k = 0
+    for instr in circuit.instrs:
+        if isinstance(instr, Cnot):
+            cnot_swap_by_axes(c.reshape((4,) + (2,) * n), 1 + instr.control, 1 + instr.target)
+            continue
+        if not isinstance(instr, Gate1):
+            continue
+        halves = c.reshape(4, 1 << instr.qubit, 2, -1)
+        z0, z1 = halves[:, :, 0].copy(), halves[:, :, 1].copy()
+        if instr.kind is GateKind.H:
+            z0, z1 = z0 + z1, z0 - z1
+            k += 1
+        elif instr.kind is GateKind.X:
+            z0, z1 = z1, z0
+        elif instr.kind is GateKind.Y:  # [[0, -i], [i, 0]]: -i = ω⁶, i = ω²
+            z0, z1 = _times_omega(z1, 6), _times_omega(z0, 2)
+        else:
+            z1 = _times_omega(z1, _OMEGA_POWER[instr.kind])
+        halves[:, :, 0], halves[:, :, 1] = z0, z1
+    return c, k
+
+
+def exact_amplitudes(circuit: Circuit) -> np.ndarray:
+    """evolve_exact's amplitudes as complex floats, for small circuits:
+    ω = (1 + i)/√2, ω² = i and ω³ = (-1 + i)/√2."""
+    (c0, c1, c2, c3), k = evolve_exact(circuit)
+    root = np.sqrt(0.5)
+    re = c0.astype(float) + root * (c1 - c3).astype(float)
+    im = c2.astype(float) + root * (c1 + c3).astype(float)
+    return (re + 1j * im) * root ** k
+
+
+def exact_probabilities(circuit: Circuit, measured) -> dict[str, Decimal]:
+    """The Born weights of the measured wires, exactly: every key of the
+    ascending wires, zero weights included, to about 40 digits.
+
+    |z|² = P + Q·√2 with P = c0² + c1² + c2² + c3² and Q = c0·(c1 - c3) +
+    c2·(c1 + c3), both integers; each marginal sums P and Q exactly and is
+    converted once, as (P + Q·√2) / 2^k, with enough digits to survive
+    the cancellation: a nonzero P + Q·√2 is at least 1 / (|P| + 2|Q|),
+    since (P + Q·√2)(P - Q·√2) is a nonzero integer."""
+    (c0, c1, c2, c3), k = evolve_exact(circuit)
+    n, qs = circuit.num_qubits, sorted(measured)
+    drop = tuple(q for q in range(n) if q not in qs)
+    p_sum = (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3).reshape((2,) * n).sum(axis=drop)
+    q_sum = (c0 * (c1 - c3) + c2 * (c1 + c3)).reshape((2,) * n).sum(axis=drop)
+    out = {}
+    for i, (p, q) in enumerate(zip(p_sum.reshape(-1), q_sum.reshape(-1))):
+        with localcontext() as ctx:
+            ctx.prec = 2 * len(str(abs(p) + 2 * abs(q))) + 40
+            out[format(i, f"0{len(qs)}b")] = (p + q * Decimal(2).sqrt()) / Decimal(2) ** k
+    return out
 
 
 @contextmanager

@@ -187,6 +187,8 @@ class TestVocabulary:
         ("qubits 2\nh q0\ncx q0\n", 3, "'cx' expects two qubit operands"),
         ("qubits 2\nh q0\nmeasure 0\n", 3, "malformed qubit token '0' (expected q<i>)"),
         ("qubits 2\nh q0\nh q-1\n", 3, "malformed qubit token 'q-1' (expected q<i>)"),
+        ("qubits\nh q0\n", 1, "expected 'qubits <N>'"),
+        ("qubits 2 3\nh q0\n", 1, "expected 'qubits <N>'"),
     ])
     def test_bad_lines_keep_their_errors_and_first_line(self, text, line, message):
         parse("qubits 2\nh q0\nmeasure q0\n")  # the size-2 table exists already
@@ -205,17 +207,31 @@ class TestVocabulary:
         assert circuit_module._vocabulary.cache_info().currsize <= 16
 
     @PROPERTY_SETTINGS
-    @given(seed=SEEDS, n=st.integers(1, 16), depth=st.integers(0, 40))
-    def test_format_round_trips_through_the_table(self, seed, n, depth):
-        c = random_circuit(np.random.default_rng(seed), n, depth)
+    @given(seed=SEEDS, n=st.integers(1, 16), depth=st.integers(0, 40), markers=st.booleans())
+    def test_format_round_trips_through_the_table(self, seed, n, depth, markers):
+        # format_circuit and the table spell a line through one function:
+        # every line written after the header is its instruction's key
+        rng = np.random.default_rng(seed)
+        c = random_circuit(rng, n, depth)
+        if markers:
+            c.instrs.extend(BlochMeasure(int(q)) for q in rng.integers(n, size=3))
         text = format_circuit(c)
+        table = circuit_module._vocabulary(n)
+        header, *lines = text.splitlines()
+        assert header == f"qubits {n}"
+        assert [table[line] for line in lines] == c.instrs
+        assert parse(text) == c
         assert format_circuit(parse(text)) == text
-        assert len(circuit_module._vocabulary(n)) == 11 * n + n * (n - 1)
+        assert len(table) == 11 * n + n * (n - 1)
 
 
 class TestFormat:
     def test_empty_circuit(self):
         assert format_circuit(Circuit(5)) == "qubits 5\n"
+
+    def test_foreign_instruction_is_refused(self):
+        with pytest.raises(TypeError, match="cannot format tuple"):
+            format_circuit(Circuit(2, [Gate1(GateKind.H, 0), (0, 1)]))
 
     def test_mixed_case_input_canonicalizes_to_lowercase(self):
         text = format_circuit(parse("QUBITS 1\nX Q0\nMEASURE Q0\n"))
@@ -304,6 +320,8 @@ class TestDeviceModel:
         ("gate_time_tau_s", 10 ** 400, "int too large to convert to float"),
         ("qubits", [{"gamma_relax": True, "gamma_phase": 0.0}], "gamma_relax must be a number"),
         ("qubits", [{"gamma_relax": 0.0, "gamma_phase": "0"}], "gamma_phase must be a number"),
+        ("qubits", [], "device needs one noise entry per qubit"),
+        ("allowed_cnot_targets", [1], "allowed cnot target q1 not on device"),
     ])
     def test_non_numeric_fields_rejected(self, field, value, message):
         data = {"name": "toy", "num_qubits": 1, "allowed_cnot_targets": [0],

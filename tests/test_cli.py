@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from qsim.circuit import default_device, load_device, parse
 from qsim.cli import DEFAULT_SHOTS, _violation_report, main, simulate_text
 from qsim.errors import ValidationError
+
+from oracles import EXACT_ATOL, exact_probabilities
 
 BELL_TEXT = "qubits 2\nh q0\ncx q0 q1\nmeasure q0\nmeasure q1\n"
 TELEPORT_TEXT = (
@@ -112,6 +115,26 @@ class TestSimulate:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "bitstring,probability"
         assert lines[1].startswith("00,")
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    def test_csv_is_the_histogram_only(self, tmp_path, capsys, exact):
+        # csv has no Bloch section: a circuit's bloch markers are dropped,
+        # not refused, and the rows are the json artifact's histogram
+        path = tmp_path / "tomo.qc"
+        path.write_text("qubits 2\nh q0\nt q0\ncx q0 q1\nmeasure q1\nbloch q0\n")
+        argv = ["simulate", str(path), "--seed", "3"] + ["--probabilities"] * exact
+        assert main(argv + ["--format", "json"]) == 0
+        artifact = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert "bloch" not in out and "q0" not in out
+        header, *rows = out.splitlines()
+        assert header == ("bitstring,probability" if exact else "bitstring,count,probability")
+        cells = [row.split(",") for row in rows]
+        assert {c[0]: float(c[-1]) for c in cells} == artifact["probabilities"]
+        counts = {c[0]: int(c[1]) for c in cells if not exact and int(c[1])}
+        assert counts == artifact["counts"]
+        assert artifact["bloch"]["q0"]
 
     def test_ascii_format(self, bell_file, capsys):
         assert main(["simulate", str(bell_file), "--seed", "2",
@@ -439,6 +462,13 @@ GOLDEN_CASES = {
     },
     "simulate_bell_csv": ["simulate", "circuits/bell.qc", "--format", "csv", "--seed", "7"],
     "simulate_bell_ascii": ["simulate", "circuits/bell.qc", "--format", "ascii", "--seed", "7"],
+    # the ascii Bloch lines, the paper's tomography readout
+    **{
+        f"simulate_tomography_plus_{p}_ascii": ["simulate", "circuits/tomography_plus.qc",
+                                                "--processor", p, "--format", "ascii",
+                                                "--seed", "7"]
+        for p in ("ideal", "real")
+    },
     **{
         f"teleport_{s}_{p}": ["teleport", "--state", s, "--processor", p, "--seed", "7"]
         for s in ("one", "plus")
@@ -466,6 +496,21 @@ def test_stdout_matches_golden(name, monkeypatch):
     expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
     assert _golden_run(GOLDEN_CASES[name]) == expected
 
+
+
+# Each ideal json golden prints probabilities within EXACT_ATOL of the
+# exact Clifford+T values, so a change that moves them can say which way.
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN_CASES
+                                        if n.startswith("simulate_") and n.endswith("_ideal_json")))
+def test_ideal_golden_probabilities_are_exact(name):
+    path = REPO / GOLDEN_CASES[name][1]
+    circuit = parse(path.read_text(encoding="utf-8"))
+    stdout = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8").split("\n", 1)[1]
+    printed = json.loads(stdout, parse_float=Decimal)["probabilities"]
+    measured = circuit.measured_qubits()
+    exact = exact_probabilities(circuit, measured) if measured else {}
+    assert set(printed) <= set(exact)
+    assert all(abs(printed.get(key, 0) - p) <= EXACT_ATOL for key, p in exact.items())
 
 
 # simulate_text is the artifact of `qsim simulate`: on every golden simulate

@@ -1,6 +1,7 @@
 """The interpreter: processor rules, start states, and agreement with
 the dense oracle on both processors."""
 
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -15,12 +16,13 @@ from qsim.engine import PROCESSORS, run
 from qsim.errors import CapacityError, ValidationError
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import probabilities
-from qsim.noise import amplitude_damping, decohere, dephasing
+from qsim.noise import NoiseConfig, amplitude_damping, decohere, dephasing
 from qsim.states import (DensityMatrix, PureState, _apply_1q, _apply_cnot, apply_1q,
                          apply_cnot)
 
-from oracles import (SINGLE_KINDS, engine_calls, evolve_dense, random_density_mat,
-                     random_pure_vec)
+from oracles import (EXACT_ATOL, SINGLE_KINDS, engine_calls, evolve_dense,
+                     exact_amplitudes, exact_probabilities, random_circuit,
+                     random_density_mat, random_pure_vec)
 
 BELL_TEXT = "qubits 2\nh q0\ncx q0 q1\nmeasure q0\nmeasure q1\n"
 
@@ -70,6 +72,18 @@ def test_initial_state_size_must_match():
         run(parse(BELL_TEXT), initial=PureState(1, np.array([1, 0])))
     with pytest.raises(ValueError, match="2-qubit DensityMatrix"):
         run(parse("qubits 2\nh q0\nmeasure q0\n"), "real", initial=PureState(2, np.eye(4)[0]))
+
+
+def test_initial_state_wider_than_the_engine_is_refused():
+    # the register is checked against the engine's cap before the initial
+    # state is read, as a fresh register is; np.zeros leaves its pages unwritten
+    wide = Circuit(17, [MeasureZ(0)])
+    with pytest.raises(CapacityError, match=r"statevector engine supports 1\.\.16 qubits, got 17"):
+        run(wide, initial=PureState(17, np.zeros(1 << 17, dtype=complex)))
+    device = _open_device([(0.0, 0.0)] * 11)
+    with pytest.raises(CapacityError, match=r"density engine supports 1\.\.10 qubits, got 11"):
+        run(parse("qubits 11\nh q0\nmeasure q10\n"), "real", device,
+            initial=DensityMatrix(11, np.zeros((1 << 11, 1 << 11), dtype=complex)))
 
 
 def test_sixteen_qubit_register_runs():
@@ -496,3 +510,47 @@ def test_every_pass_has_a_unit_leading_entry(processor, case, seed):
     for _, args in kernel:
         (a, b), _ = np.asarray(args[1]).tolist()
         assert (a or b) == 1
+
+
+def test_exact_oracle_matches_the_dense_oracle():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        circuit = random_circuit(rng, n, int(rng.integers(0, 30)))
+        np.testing.assert_allclose(exact_amplitudes(circuit),
+                                   evolve_dense(circuit, np.eye(1 << n, dtype=complex)[0]),
+                                   rtol=0, atol=1e-12)
+
+
+ACCEPTANCE_ATOL = 1e-10  # exact-mode distributions, tests/test_acceptance.py
+
+
+@st.composite
+def clifford_t_circuits(draw):
+    """A random circuit on 1-10 wires: up to 200 gates, one more of every
+    kind and a cx when n > 1, shuffled, then a nonempty set of wires
+    measured."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instrs = random_circuit(rng, n, draw(st.integers(0, 200)), measure=False).instrs
+    instrs += [Gate1(kind, int(rng.integers(n))) for kind in SINGLE_KINDS]
+    if n > 1:
+        instrs.append(Cnot(*map(int, rng.choice(n, size=2, replace=False))))
+    measured = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return Circuit(n, [instrs[i] for i in rng.permutation(len(instrs))]
+                   + [MeasureZ(q) for q in sorted(measured)])
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(circuit=clifford_t_circuits())
+def test_probabilities_match_the_exact_oracle(processor, circuit):
+    n, measured = circuit.num_qubits, circuit.measured_qubits()
+    device = _open_device([(0.01, 0.02)] * n)
+    state = run(circuit, processor, device, NoiseConfig.from_device(device, enabled=False))
+    got = probabilities(state, measured)
+    exact = exact_probabilities(circuit, measured)
+    assert set(got) <= set(exact)
+    worst = max(abs(Decimal(got.get(key, 0.0)) - p) for key, p in exact.items())
+    assert worst <= ACCEPTANCE_ATOL
+    assert worst <= EXACT_ATOL

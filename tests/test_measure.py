@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,6 +120,8 @@ class TestProbabilities:
                 bloch_measure(empty, 0)
         with pytest.raises(ValueError, match="non-finite weight on qubit 0"):
             bloch_measure(DensityMatrix(1, np.full((2, 2), np.nan)), 0)
+        with pytest.raises(TypeError, match="cannot measure SimpleNamespace"):
+            probabilities(SimpleNamespace(num_qubits=1), [0])
         assert probabilities(s, [np.int64(0)]) == pytest.approx({"0": 0.5, "1": 0.5})
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

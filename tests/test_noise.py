@@ -95,10 +95,14 @@ class TestChannels:
             amplitude_damping(bad)
         with pytest.raises(ValueError):
             dephasing(bad)
+        with pytest.raises(ValueError, match=f"noise rate {bad} outside"):
+            NoiseConfig((0.0, bad), (0.0, 0.0))
 
     def test_completeness_enforced(self):
         with pytest.raises(ValueError, match="K†K"):
             KrausChannel((np.eye(2, dtype=complex) * 0.5,))
+        with pytest.raises(ValueError, match="must be 2x2"):
+            KrausChannel((np.eye(3, dtype=complex),))
 
     def test_completeness_of_constructed_channels(self):
         rng = np.random.default_rng(31)

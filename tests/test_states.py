@@ -1,5 +1,7 @@
 """State containers and kernels against dense oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,17 @@ class TestConstruction:
         with pytest.raises(CapacityError):
             zero_density(n)
 
+    def test_buffer_must_fit_the_register(self):
+        with pytest.raises(ValueError, match=r"amplitude vector must have length 2\^2"):
+            PureState(2, np.zeros(3))
+        with pytest.raises(ValueError, match="matrix must be 2x2"):
+            DensityMatrix(1, np.zeros(4))
+
+    def test_to_density_capacity(self):
+        assert zero_state(10).to_density().mat.shape == (1 << 10, 1 << 10)
+        with pytest.raises(CapacityError, match=r"density engine supports 1\.\.10 qubits, got 11"):
+            zero_state(11).to_density()
+
     @pytest.mark.parametrize("wires", [[], [2], [0, 3], [1, 2, 3], [0, 1, 2, 3]])
     def test_embed_puts_zero_on_the_added_wires(self, wires):
         rng = np.random.default_rng(len(wires))
@@ -88,6 +101,11 @@ class TestConstruction:
     def test_from_amplitudes_checks_norm(self):
         with pytest.raises(ValueError, match="not normalized"):
             PureState.from_amplitudes([1.0, 1.0])
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            PureState.from_amplitudes([0.0, 0.0], normalize=True)
+        for length in (1, 3, 6, 1 << 17):
+            with pytest.raises(CapacityError, match=r"2\^n with 1 <= n <= 16"):
+                PureState.from_amplitudes([1.0] + [0.0] * (length - 1))
         s = PureState.from_amplitudes([1.0, 1.0], normalize=True)
         np.testing.assert_allclose(s.amps, [SQRT1_2, SQRT1_2], atol=1e-12)
 
@@ -118,6 +136,12 @@ class TestApply1q:
             decohere(zero_density(2), 1.0, 0.1, 0.1)
         with pytest.raises(ValueError, match="integers"):
             apply_1q(zero_state(2), H, True)
+        with pytest.raises(ValueError, match="must be 2x2"):
+            apply_1q(zero_state(2), np.eye(4), 0)
+        with pytest.raises(TypeError, match="cannot apply gates to SimpleNamespace"):
+            apply_1q(SimpleNamespace(num_qubits=2), H, 0)
+        with pytest.raises(TypeError, match="cannot reduce SimpleNamespace"):
+            reduced_density_1q(SimpleNamespace(num_qubits=2), 0)
         assert apply_1q(zero_state(2), H, np.int64(1)).amps[1] == pytest.approx(SQRT1_2)
 
     def test_matches_dense_oracle_on_pure_states(self):
