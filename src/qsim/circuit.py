@@ -213,9 +213,10 @@ def load_device(path) -> DeviceModel:
 def default_device() -> DeviceModel:
     """The packaged 5-qubit device: CNOT targets restricted to q2, qubit 3
     the least robust against relaxation. Rates are illustrative defaults,
-    not calibration data."""
-    ref = resources.files("qsim") / "devices" / "ibmqx-like.json"
-    return DeviceModel.from_dict(json.loads(ref.read_text(encoding="utf-8")))
+    not calibration data. The file is read by load_device, so a damaged
+    install's DeviceError names its path."""
+    with resources.as_file(resources.files("qsim") / "devices" / "ibmqx-like.json") as path:
+        return load_device(path)
 
 
 class ViolationCode(Enum):

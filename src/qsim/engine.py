@@ -140,8 +140,9 @@ def run(
         processor: "ideal" (statevector) or "real" (density matrix).
         device: constraints and rates of the real processor; the
             packaged device if omitted. Ignored by the ideal processor.
-        noise: overrides the device rates on the real processor (e.g.
-            enabled=False for the ideal limit).
+        noise: the real processor's slot, in place of the device's own:
+            its rates are those of the config's device (and none for
+            enabled=False, the ideal limit); `device` still validates.
         initial: starting state, copied and not mutated; a PureState on
             the ideal processor, a DensityMatrix on the real one.
             |0...0> if omitted, held as only the wires that leave |0>.
@@ -168,8 +169,7 @@ def run(
             raise ValueError(f"initial state must be a {n}-qubit {kind.__name__}")
         state = initial.copy()
         pos = {q: q for q in range(n)}
-    slot = (noise or NoiseConfig.from_device(device)).slot(n) if real else []
-    rates = {q: (gamma, lam) for q, gamma, lam in slot}
+    rates = (noise or NoiseConfig.from_device(device)).slot(n) if real else {}
     flushed = dict.fromkeys(rates, 0)  # gate count at each noisy wire's last flush
     gates = 0
     frame = {}  # wire -> its pending monomial M_q, as (a, b, c, d)

@@ -3,9 +3,9 @@
 On the real processor every gate instruction is charged one
 decoherence slot on every wire of the register, idle wires included:
 amplitude damping (relaxation toward |0>) plus optional dephasing, with
-per-qubit rates taken from the device model. Identity gates therefore
-act as timed idle slots. `decohere` applies k slots on one wire at
-once: the closed form of both channels, in place. `KrausChannel`,
+per-qubit rates read from the device a NoiseConfig holds. Identity
+gates therefore act as timed idle slots. `decohere` applies k slots on
+one wire at once: the closed form of both channels, in place. `KrausChannel`,
 `amplitude_damping` and `dephasing` define the channels and are the
 test oracle for that closed form. engine.run charges the slots per gate
 and flushes them lazily, k at a time, when a gate that does not commute
@@ -98,34 +98,27 @@ def decohere(rho: DensityMatrix, q: int, gamma: float, lam: float,
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Per-qubit per-slot rates, plus an overall on/off switch."""
+    """A device's decoherence slot, at the rates its DeviceModel checked, plus an on/off switch."""
 
-    gamma_relax: tuple[float, ...]
-    gamma_phase: tuple[float, ...]
+    device: DeviceModel
     enabled: bool = True
 
     def __post_init__(self):
-        for rate in (*self.gamma_relax, *self.gamma_phase):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"noise rate {rate} outside [0, 1]")
+        if not isinstance(self.device, DeviceModel):
+            raise TypeError(f"NoiseConfig needs a DeviceModel, got {type(self.device).__name__}")
 
     @classmethod
     def from_device(cls, device: DeviceModel, enabled: bool = True) -> "NoiseConfig":
-        return cls(
-            gamma_relax=tuple(q.gamma_relax for q in device.qubits),
-            gamma_phase=tuple(q.gamma_phase for q in device.qubits),
-            enabled=enabled,
-        )
+        return cls(device, enabled)
 
-    def slot(self, num_qubits: int) -> list[tuple[int, float, float]]:
-        """(wire, gamma, lam) of one gate slot, in wire order; wires whose
-        two rates are zero are omitted, and a disabled config has none."""
+    def slot(self, num_qubits: int) -> dict[int, tuple[float, float]]:
+        """{wire: (gamma, lam)} of one gate slot, in wire order; wires whose
+        two rates are zero are omitted, and a disabled config has none. A
+        device with fewer qubits than the register is a DeviceError."""
         if not self.enabled:
-            return []
-        covered = min(len(self.gamma_relax), len(self.gamma_phase))
-        if covered < num_qubits:
-            raise DeviceError(
-                f"noise rates cover {covered} qubits, register has {num_qubits}"
-            )
-        rates = zip(range(num_qubits), self.gamma_relax, self.gamma_phase)
-        return [(q, g, l) for q, g, l in rates if g > 0.0 or l > 0.0]
+            return {}
+        qubits = self.device.qubits
+        if len(qubits) < num_qubits:
+            raise DeviceError(f"noise rates cover {len(qubits)} qubits, register has {num_qubits}")
+        return {q: (r.gamma_relax, r.gamma_phase)
+                for q, r in enumerate(qubits[:num_qubits]) if r.gamma_relax or r.gamma_phase}

@@ -21,12 +21,12 @@ import numpy as np
 from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, _is_int, default_device, validate
 from .engine import run
 from .errors import ValidationError
-from .gates import GateKind, matrix_of
+from .gates import ENTRIES, GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
 from .noise import NoiseConfig, decohere
 from .states import PureState
 
-_SQRT1_2 = 1.0 / np.sqrt(2.0)
+_SQRT1_2 = ENTRIES[GateKind.H][0].real
 
 
 class BellIndex(NamedTuple):
@@ -279,13 +279,13 @@ def decoherence_sweep(
     if findings:
         raise ValidationError(findings, probe)
     equator = run(probe, processor, device, NoiseConfig.from_device(device, enabled=False))
-    slot = NoiseConfig.from_device(device).slot(wires) if processor == "real" else []
-    slot = [s for s in slot if s[0] == qubit]  # the slot leaves the |0><0| wires as they are
+    # the probe wire's rates only: the slot leaves the |0><0| wires as they are
+    rates = NoiseConfig.from_device(device).slot(wires).get(qubit) if processor == "real" else None
     points = []
     for n in range(n_max + 1):
         state = equator.copy()
-        for q, gamma, lam in slot:
-            decohere(state, q, gamma, lam, slots=n + 1)
+        if rates:
+            decohere(state, qubit, *rates, slots=n + 1)
         if shots is None:
             probs = probabilities(state, [qubit])
             p0 = probs.get("0", 0.0)

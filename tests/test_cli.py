@@ -453,6 +453,7 @@ def test_any_argv_exits_0_1_or_2_with_stable_stdout(circuit_path, text, argv):
 # moves a printed value on purpose, and record the moved values.
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = REPO / "tests" / "golden"
+DEPHASING_DEVICE = "tests/data/dephasing-5q.json"
 GOLDEN_CASES = {
     **{
         f"simulate_{c.stem}_{p}_json": ["simulate", f"circuits/{c.name}", "--processor", p,
@@ -479,11 +480,21 @@ GOLDEN_CASES = {
     "sweep_q3_exact": ["sweep", "--qubit", "3", "--n-max", "50", "--probabilities"],
     "sweep_q3_sampled": ["sweep", "--qubit", "3", "--n-max", "50", "--shots", "500",
                          "--seed", "7"],
+    # a device with dephasing and a zero-rate wire (q1), which the packaged
+    # one lacks: the slot's dephasing half, and a wire the slot leaves out
+    **{
+        f"simulate_{c}_real_json_dephasing": ["simulate", f"circuits/{c}.qc", "--processor",
+                                              "real", "--format", "json", "--seed", "7",
+                                              "--device", DEPHASING_DEVICE]
+        for c in ("teleport_plus", "tomography_plus")
+    },
+    "sweep_q3_exact_dephasing": ["sweep", "--qubit", "3", "--n-max", "50", "--probabilities",
+                                 "--device", DEPHASING_DEVICE],
 }
 
 
 def _golden_run(argv) -> str:
-    argv = [str(REPO / a) if a.startswith("circuits/") else a for a in argv]
+    argv = [str(REPO / a) if a.startswith(("circuits/", "tests/data/")) else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -528,7 +539,8 @@ def test_simulate_text_is_mains_stdout(name, exact, monkeypatch):
     code, stdout = _golden_run(argv + ["--probabilities"] * exact).split("\n", 1)
 
     def text():
-        return simulate_text(circuit, default_device(), opts.get("--processor", "ideal"),
+        device = load_device(REPO / opts["--device"]) if "--device" in opts else default_device()
+        return simulate_text(circuit, device, opts.get("--processor", "ideal"),
                              opts["--format"], None if exact else DEFAULT_SHOTS,
                              int(opts["--seed"]))
 

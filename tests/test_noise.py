@@ -1,5 +1,6 @@
 """Kraus channels and the noisy density-matrix engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from qsim.noise import (
 from qsim.states import (DensityMatrix, apply_1q, apply_cnot, reduced_density_1q,
                          zero_density, zero_state)
 
-from oracles import apply_channel_dense, engine_calls, random_density_mat
+from oracles import apply_channel_dense, engine_calls, random_circuit, random_density_mat
 
 PLUS_RHO = np.full((2, 2), 0.5, dtype=complex)
 EDGE_RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -95,8 +96,6 @@ class TestChannels:
             amplitude_damping(bad)
         with pytest.raises(ValueError):
             dephasing(bad)
-        with pytest.raises(ValueError, match=f"noise rate {bad} outside"):
-            NoiseConfig((0.0, bad), (0.0, 0.0))
 
     def test_completeness_enforced(self):
         with pytest.raises(ValueError, match="K†K"):
@@ -320,4 +319,42 @@ class TestEvolveNoisy:
             run(circuit, "real", device)
         # a hand-built config can still be too short
         with pytest.raises(DeviceError, match="cover 1 qubits, register has 2"):
-            NoiseConfig((0.1,), (0.0, 0.0)).slot(2)
+            NoiseConfig(toy_device([0.1])).slot(2)
+
+
+# a wire's (relax, phase) rates: edge values, any value, or both zero
+WIRE_RATES = st.tuples(EDGE_RATES, EDGE_RATES) | st.just((0.0, 0.0))
+
+
+@st.composite
+def rated_devices(draw, num_qubits):
+    """A toy device on which every cx is legal, with drawn rates."""
+    rates = draw(st.lists(WIRE_RATES, min_size=num_qubits, max_size=num_qubits))
+    return toy_device([g for g, _ in rates], [lam for _, lam in rates],
+                      targets=range(num_qubits))
+
+
+class TestNoiseConfig:
+    def test_raw_rates_are_refused_when_built(self):
+        with pytest.raises(TypeError, match="needs a DeviceModel, got tuple"):
+            NoiseConfig((0.1,), (0.0,))
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(size=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           depth=st.integers(0, 40))
+    def test_a_config_charges_the_rates_of_its_own_device(self, size, data, seed, depth):
+        a, b = data.draw(rated_devices(size)), data.draw(rated_devices(size))
+        n = data.draw(st.integers(1, size))
+        for k in range(1, size + 1):
+            expected = {q: (r.gamma_relax, r.gamma_phase) for q, r in enumerate(b.qubits[:k])
+                        if (r.gamma_relax, r.gamma_phase) != (0.0, 0.0)}
+            assert list(NoiseConfig.from_device(b).slot(k).items()) == list(expected.items())
+        circuit = random_circuit(np.random.default_rng(seed), n, depth)
+        # an override takes its rates from the config's device, not from `a`
+        overridden = run(circuit, "real", a, NoiseConfig(b))
+        rebuilt = run(circuit, "real", dataclasses.replace(a, qubits=b.qubits))
+        assert overridden.mat.tobytes() == rebuilt.mat.tobytes()
+        # a disabled config runs as the same device with every rate zero
+        disabled = run(circuit, "real", b, NoiseConfig(b, enabled=False))
+        silent = run(circuit, "real", dataclasses.replace(b, qubits=(QubitNoise(0.0, 0.0),) * size))
+        assert disabled.mat.tobytes() == silent.mat.tobytes()

@@ -52,6 +52,12 @@ class TestBellStates:
             bell_state(BellIndex(1, 1)).amps,
             [0, SQRT1_2, -SQRT1_2, 0], atol=1e-12)
 
+    def test_amplitudes_are_exactly_the_rounded_inverse_root_two(self):
+        for n, m in ALL_BELL:
+            expected = np.zeros(4, dtype=complex)
+            expected[n], expected[2 + (1 - n)] = SQRT1_2, (-1) ** m * SQRT1_2
+            assert bell_state(BellIndex(n, m)).amps.tobytes() == expected.tobytes()
+
     def test_mutually_orthonormal(self):
         vecs = [bell_state(i).amps for i in ALL_BELL]
         gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
