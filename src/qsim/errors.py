@@ -17,7 +17,6 @@ class ParseError(QsimError):
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
         self.line = line
-        self.reason = reason
 
 
 class DeviceError(QsimError):

@@ -146,27 +146,17 @@ def histogram_json_fields(probs: dict[str, float],
     """The serialized histogram schema: shots/seed/rng/counts/probabilities.
 
     `probs` carries the exact Born values; `hist` the sampled counts, or
-    None for exact-only artifacts (shots 0, seed and rng null). Keys are
-    emitted in ascending order so serialization is byte-stable; the maps
-    `probabilities` and `sample` build come back as they are.
+    None for exact-only artifacts (shots 0, seed and rng null). Both
+    maps come back as given, in the order their builder made them:
+    `probabilities` and `sample` build theirs in ascending key order.
     """
     return {
         "shots": hist.shots if hist else 0,
         "seed": hist.seed if hist else None,
         "rng": hist.rng if hist else None,
-        "counts": _sorted_map(hist.counts) if hist else {},
-        "probabilities": _sorted_map(probs),
+        "counts": hist.counts if hist else {},
+        "probabilities": probs,
     }
-
-
-def _sorted_map(mapping: dict) -> dict:
-    """`mapping` itself if its keys are in ascending order, as
-    `probabilities` and `sample` build them; else a copy in that order,
-    so the caller's dict is never reordered."""
-    keys = sorted(mapping)
-    if keys == list(mapping):
-        return mapping
-    return {k: mapping[k] for k in keys}
 
 
 def bloch_measure(state, q: int) -> BlochVector:

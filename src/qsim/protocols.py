@@ -165,11 +165,12 @@ class BranchReport:
 
 @dataclass
 class TeleportResult:
-    circuit: Circuit
-    processor: str
-    input_state: PureState
-    probabilities: dict[str, float]  # exact, over all three wires
-    histogram: Histogram | None  # None when run in exact mode
+    """What run_teleport reports: the exact three-wire distribution, the
+    sampled histogram (None when run in exact mode), and one analysis
+    per sender outcome, in outcome order."""
+
+    probabilities: dict[str, float]
+    histogram: Histogram | None
     branches: list[BranchReport]
 
 
@@ -191,36 +192,24 @@ def run_teleport(
 
     shots=None skips sampling and reports exact probabilities only.
     """
-    circuit = build_teleport_circuit(prep)
-    state = run(circuit, processor=processor, device=device)
+    state = run(build_teleport_circuit(prep), processor=processor, device=device)
     probs = probabilities(state, [0, 1, 2])
     hist = sample(state, [0, 1, 2], shots, seed) if shots is not None else None
 
     rho = state.to_density() if isinstance(state, PureState) else state
     psi_in = _apply_gates(prep, np.array([1.0, 0.0], dtype=complex))
-    table = circuit_correction_table()
     branches = []
-    for m in (0, 1):
-        for n in (0, 1):
-            outcome = f"{m}{n}"
-            correction = table[outcome]
-            fixup = _apply_gates(correction, np.eye(2, dtype=complex))
-            base = (m << 2) | (n << 1)
-            block = rho.mat[base:base + 2, base:base + 2]
-            weight = float(np.trace(block).real)
-            if weight > 1e-12:
-                block = block / weight
-            corrected = fixup @ block @ fixup.conj().T
-            fidelity = float(np.real(psi_in.conj() @ corrected @ psi_in))
-            branches.append(BranchReport(outcome, weight, correction, fidelity))
-    return TeleportResult(
-        circuit=circuit,
-        processor=processor,
-        input_state=PureState(1, psi_in),
-        probabilities=probs,
-        histogram=hist,
-        branches=branches,
-    )
+    for outcome, correction in circuit_correction_table().items():
+        fixup = _apply_gates(correction, np.eye(2, dtype=complex))
+        base = int(outcome, 2) << 1  # the receiver's 2x2 block under sender bits "mn"
+        block = rho.mat[base:base + 2, base:base + 2]
+        weight = float(np.trace(block).real)
+        if weight > 1e-12:
+            block = block / weight
+        corrected = fixup @ block @ fixup.conj().T
+        fidelity = float(np.real(psi_in.conj() @ corrected @ psi_in))
+        branches.append(BranchReport(outcome, weight, correction, fidelity))
+    return TeleportResult(probabilities=probs, histogram=hist, branches=branches)
 
 
 @dataclass
@@ -228,10 +217,9 @@ class SweepResult:
     """p(0)/p(1) of the idle-decay probe as the idle length grows.
 
     Each point is (n, p0, p1) where n counts identity gates; elapsed
-    time for a point is n * tau.
+    time for a point is n * tau, tau being the device's gate time.
     """
 
-    qubit: int
     tau: float
     points: list[tuple[int, float, float]]
 
@@ -295,4 +283,4 @@ def decoherence_sweep(
             p0 = hist.counts.get("0", 0) / shots
             p1 = hist.counts.get("1", 0) / shots
         points.append((n, p0, p1))
-    return SweepResult(qubit=qubit, tau=device.gate_time_tau_s, points=points)
+    return SweepResult(tau=device.gate_time_tau_s, points=points)

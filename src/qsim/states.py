@@ -71,13 +71,9 @@ class PureState:
             )
 
     @classmethod
-    def from_amplitudes(cls, amps, *, normalize: bool = False) -> "PureState":
-        """Build a state from a raw amplitude vector.
-
-        Args:
-            amps: sequence of 2^n complex amplitudes.
-            normalize: rescale to unit norm instead of requiring it.
-        """
+    def from_amplitudes(cls, amps) -> "PureState":
+        """Build a state from a raw vector of 2^n complex amplitudes,
+        which must already have unit norm."""
         vec = np.ascontiguousarray(amps, dtype=complex)
         n = max(int(vec.size).bit_length() - 1, 0)
         if vec.size != 1 << n or not 1 <= n <= MAX_QUBITS:
@@ -85,11 +81,7 @@ class PureState:
                 f"amplitude vector length must be 2^n with 1 <= n <= {MAX_QUBITS}"
             )
         norm = float(np.linalg.norm(vec))
-        if normalize:
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            vec = vec / norm
-        elif abs(norm - 1.0) > 1e-8:
+        if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"amplitudes are not normalized (norm {norm})")
         return cls(n, vec)
 

@@ -1,13 +1,14 @@
 """Bell states, both teleportation routes, and the idle-decay sweep."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.circuit import Circuit, Gate1, MeasureZ, QubitNoise, default_device, validate
+from qsim.circuit import Circuit, Gate1, MeasureZ, QubitNoise, default_device, parse, validate
 from qsim.engine import PROCESSORS, run
 from qsim.errors import ValidationError
 from qsim.gates import GateKind, matrix_of
@@ -26,6 +27,7 @@ from qsim.states import DensityMatrix, PureState, is_separable, zero_density
 
 from oracles import phase_insensitive_overlap, random_pure_vec, teleport_branches_dense
 
+CIRCUITS = Path(__file__).resolve().parents[1] / "circuits"
 SQRT1_2 = 1 / np.sqrt(2)
 ALL_BELL = [BellIndex(n, m) for n in (0, 1) for m in (0, 1)]
 
@@ -150,6 +152,13 @@ class TestTeleportCircuit:
         mnemonics = [getattr(i, "kind", None) for i in c.instrs]
         assert mnemonics[0] == GateKind.X  # prep
         assert c.measured_qubits() == [0, 1]
+
+    @pytest.mark.parametrize("file, prep", [("teleport_one.qc", GateKind.X),
+                                            ("teleport_plus.qc", GateKind.H)])
+    def test_shipped_circuit_is_the_builders(self, file, prep):
+        # the paper's circuit is written twice: here and in circuits/
+        shipped = parse((CIRCUITS / file).read_text(), name=file)
+        assert shipped == build_teleport_circuit([prep])
 
     def test_prep_rejects_two_qubit_gates(self):
         with pytest.raises(ValueError, match="single-qubit"):
