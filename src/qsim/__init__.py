@@ -33,6 +33,7 @@ _EXPORTS = {
         "retarget_cnots",
         "validate",
     ),
+    "cli": ("histogram_json_fields",),
     "engine": ("run",),
     "errors": (
         "CapacityError",
@@ -47,7 +48,6 @@ _EXPORTS = {
         "BlochVector",
         "Histogram",
         "bloch_measure",
-        "histogram_json_fields",
         "probabilities",
         "sample",
     ),
@@ -55,7 +55,6 @@ _EXPORTS = {
     "protocols": (
         "BellIndex",
         "BranchReport",
-        "SweepResult",
         "TeleportResult",
         "bell_state",
         "build_teleport_circuit",

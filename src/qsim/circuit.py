@@ -25,6 +25,7 @@ that the CLI can offer them and refuse a circuit without numpy.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import numbers
@@ -195,6 +196,13 @@ def _json_number(value, field: str, kind: type = float):
     return kind(value)
 
 
+def read_utf8(path) -> str:
+    """A file's bytes decoded as UTF-8, one leading byte-order mark
+    dropped; bytes that are not UTF-8 raise UnicodeDecodeError."""
+    with open(path, "rb") as fh:
+        return fh.read().removeprefix(codecs.BOM_UTF8).decode("utf-8")
+
+
 def load_device(path) -> DeviceModel:
     """Load a device model from a JSON file (see DeviceModel.from_dict).
 
@@ -203,11 +211,10 @@ def load_device(path) -> DeviceModel:
     parser's recursion limit, an integer past Python's digit limit, a
     bad field) is a DeviceError that starts with the path.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            return DeviceModel.from_dict(json.load(fh))
-        except (ValueError, RecursionError, DeviceError) as exc:
-            raise DeviceError(f"{path}: {exc}") from exc
+    try:
+        return DeviceModel.from_dict(json.loads(read_utf8(path)))
+    except (ValueError, RecursionError, DeviceError) as exc:
+        raise DeviceError(f"{path}: {exc}") from exc
 
 
 def default_device() -> DeviceModel:

@@ -10,13 +10,16 @@ more --shots than an int64 holds exits 2. main reads the device
 ($QSIM_DEVICE, else the packaged default; --device overrides both)
 before any circuit. Output is byte-deterministic given inputs and seed.
 
-Circuit and device files are read as UTF-8, a leading byte-order mark
-skipped. A device file whose content is refused, and a circuit file that
-is not UTF-8, print one `error: <path>: <reason>` line and exit 2.
-`simulate_text` is the whole `simulate` artifact of a parsed circuit, the
-exact bytes the subcommand prints; `cmd_simulate` only reads the file and
-emits it. The csv format is the histogram only: `bloch` markers are not
-refused there, and their vectors are left out.
+Circuit and device files are read by `circuit.read_utf8`: UTF-8, a
+leading byte-order mark skipped. A device file whose content is refused,
+and a circuit file that is not UTF-8, print one `error: <path>: <reason>`
+line and exit 2. This module alone writes what the CLI prints:
+`simulate_text`, `teleport_text` and `sweep_text` return the exact bytes
+of their subcommand's artifact, which its `cmd_*` handler emits (`--plot`
+charts the rows of `sweep_text`'s CSV), and `histogram_json_fields` is
+the JSON histogram schema. The simulate csv format is the histogram
+only: `bloch` markers are not refused there, and their vectors are left
+out.
 
 Each subcommand imports only what it runs: argument handling, `validate`
 and the parse step of every subcommand need `circuit`, `gates` and
@@ -44,6 +47,7 @@ from .circuit import (
     default_device,
     load_device,
     parse,
+    read_utf8,
     validate,
 )
 from .errors import (
@@ -62,6 +66,7 @@ DEFAULT_SHOTS = 8192
 MAX_SWEEP_POINTS = 200
 BAR_WIDTH = 60
 FORMATS = ("json", "csv", "ascii")  # simulate --format
+TELEPORT_FORMATS = ("json", "ascii")  # teleport --format
 
 
 def _resolve_device(path: Path | None) -> DeviceModel:
@@ -124,11 +129,25 @@ def _histogram_csv(probs: dict[str, float], hist: Histogram | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def histogram_json_fields(probs: dict[str, float], hist: Histogram | None = None) -> dict:
+    """The JSON histogram schema (shots, seed, rng, counts, probabilities)
+    of `probs`, the exact Born values, and `hist`, the sampled counts or
+    None for exact-only artifacts (shots 0, seed and rng null). Both maps
+    come back as given, in their builder's order (ascending key order)."""
+    return {
+        "shots": hist.shots if hist else 0,
+        "seed": hist.seed if hist else None,
+        "rng": hist.rng if hist else None,
+        "counts": hist.counts if hist else {},
+        "probabilities": probs,
+    }
+
+
 def _read_circuit(path: Path) -> Circuit:
     """Parse a circuit file. A leading byte-order mark is skipped, and
     bytes that are not UTF-8 are refused with the file's name."""
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = read_utf8(path)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return parse(text, name=path.stem)
@@ -164,7 +183,7 @@ def simulate_text(circuit: Circuit, device: DeviceModel, processor: str, fmt: st
     # imported here, after the caller's parse and the refusal above: a
     # malformed file or a circuit with no readout exits without numpy
     from .engine import run
-    from .measure import bloch_measure, histogram_json_fields, probabilities, sample
+    from .measure import bloch_measure, probabilities, sample
 
     state = run(circuit, processor, device)
     probs = probabilities(state, measured) if measured else {}
@@ -206,22 +225,25 @@ def cmd_simulate(args) -> int:
 _PREPS = {"one": (GateKind.X,), "plus": (GateKind.H,)}
 
 
-def cmd_teleport(args) -> int:
-    from .measure import histogram_json_fields
+def teleport_text(state: str, device: DeviceModel, processor: str, fmt: str,
+                  shots: int | None, seed: int) -> str:
+    """The `qsim teleport` artifact, byte for byte.
+
+    `state` is a key of _PREPS (the state loaded on wire 0) and `fmt` one
+    of TELEPORT_FORMATS; `shots` and `seed` are as in `simulate_text`.
+    """
+    if state not in tuple(_PREPS):
+        raise ValueError(f"state must be one of {', '.join(_PREPS)}, got {state!r}")
+    if fmt not in TELEPORT_FORMATS:
+        raise ValueError(f"format must be one of {', '.join(TELEPORT_FORMATS)}, got {fmt!r}")
     from .protocols import run_teleport
 
-    result = run_teleport(
-        _PREPS[args.state],
-        processor=args.processor,
-        shots=args.shots,
-        seed=args.seed,
-        device=args.device,
-    )
-    if args.fmt == "json":
+    result = run_teleport(_PREPS[state], processor, shots, seed, device)
+    if fmt == "json":
         artifact = {
-            "state": args.state,
-            "processor": args.processor,
-            "device": args.device.name,
+            "state": state,
+            "processor": processor,
+            "device": device.name,
             **histogram_json_fields(result.probabilities, result.histogram),
             "branches": [
                 {
@@ -233,38 +255,43 @@ def cmd_teleport(args) -> int:
                 for b in result.branches
             ],
         }
-        text = json.dumps(artifact, indent=2) + "\n"
-    else:
-        lines = [
-            f"teleport of '{args.state}' on {args.processor} processor "
-            f"(device '{args.device.name}')\n",
-            _histogram_text(result.probabilities, result.histogram),
-            "\nbranch  probability  correction  fidelity\n",
-        ]
-        for b in result.branches:
-            fixup = " ".join(g.value for g in b.correction) or "-"
-            lines.append(
-                f"{b.outcome}      {b.probability:<11.6f}  {fixup:<10}  {b.fidelity:.6f}\n"
-            )
-        text = "".join(lines)
-    _emit(text, args.output)
+        return json.dumps(artifact, indent=2) + "\n"
+    lines = [
+        f"teleport of '{state}' on {processor} processor (device '{device.name}')\n",
+        _histogram_text(result.probabilities, result.histogram),
+        "\nbranch  probability  correction  fidelity\n",
+    ]
+    for b in result.branches:
+        fixup = " ".join(g.value for g in b.correction) or "-"
+        lines.append(f"{b.outcome}      {b.probability:<11.6f}  {fixup:<10}  {b.fidelity:.6f}\n")
+    return "".join(lines)
+
+
+def cmd_teleport(args) -> int:
+    _emit(teleport_text(args.state, args.device, args.processor, args.fmt,
+                        args.shots, args.seed), args.output)
     return 0
 
 
-def cmd_sweep(args) -> int:
+def sweep_text(qubit: int, n_max: int, device: DeviceModel, processor: str,
+               shots: int | None, seed: int) -> str:
+    """The `qsim sweep` CSV, byte for byte: a `n,t_seconds,p0,p1` row per
+    point of `decoherence_sweep`, with t_seconds = n * gate_time_tau_s."""
     from .protocols import decoherence_sweep
 
-    result = decoherence_sweep(
-        args.qubit,
-        args.n_max,
-        processor=args.processor,
-        device=args.device,
-        shots=args.shots,
-        seed=args.seed,
-    )
-    _emit(result.to_csv(), args.output)
-    if args.plot:
-        rows = [(f"n={n:>4}", f"p0={p0:8.6f}", p0) for n, p0, _ in result.points]
+    tau = device.gate_time_tau_s
+    rows = [f"{n},{n * tau!r},{p0!r},{p1!r}"
+            for n, p0, p1 in decoherence_sweep(qubit, n_max, processor, device, shots, seed)]
+    return "\n".join(["n,t_seconds,p0,p1", *rows]) + "\n"
+
+
+def cmd_sweep(args) -> int:
+    text = sweep_text(args.qubit, args.n_max, args.device, args.processor,
+                      args.shots, args.seed)
+    _emit(text, args.output)
+    if args.plot:  # repr round-trips, so the CSV's p0 is the sweep's float
+        points = [row.split(",") for row in text.splitlines()[1:]]
+        rows = [(f"n={n:>4}", f"p0={float(p0):8.6f}", float(p0)) for n, _, p0, _ in points]
         sys.stderr.write(f"p0 vs n, qubit {args.qubit}, {args.processor} processor\n")
         sys.stderr.write(_ascii_bars(rows))
     return 0
@@ -308,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tel.add_argument("--state", choices=sorted(_PREPS), required=True,
                        help="state loaded on wire 0: 'one' = X|0>, 'plus' = H|0>")
     _add_run_options(p_tel, default_processor="ideal")
-    p_tel.add_argument("--format", choices=("json", "ascii"),
+    p_tel.add_argument("--format", choices=TELEPORT_FORMATS,
                        default="ascii", dest="fmt")
     p_tel.set_defaults(func=cmd_teleport)
 

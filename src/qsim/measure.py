@@ -8,8 +8,8 @@ that validates measured wires and clips negative populations, and
 (`_bit_keys`): one uint32 matrix of UCS4 code points, a row per kept
 index, viewed as fixed-width unicode items, not one `format` call per
 entry. Each map is built once, in index order, which is key order, and
-`histogram_json_fields` returns it as built: a caller that edits the
-artifact's maps edits its own. Shot sampling uses numpy's PCG64
+the CLI's writers (`cli.histogram_json_fields` for JSON) use it as
+built; this module writes no text. Shot sampling uses numpy's PCG64
 generator; the algorithm identifier travels with every histogram so
 results are reproducible across platforms from (state, qubits, shots,
 seed) alone.
@@ -139,24 +139,6 @@ def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
     hit = np.flatnonzero(drawn)
     counts = dict(zip(_bit_keys(keep[hit], len(measured)), drawn[hit].tolist()))
     return Histogram(shots=int(shots), counts=counts, seed=int(seed), rng=RNG_ALGORITHM)
-
-
-def histogram_json_fields(probs: dict[str, float],
-                          hist: Histogram | None = None) -> dict:
-    """The serialized histogram schema: shots/seed/rng/counts/probabilities.
-
-    `probs` carries the exact Born values; `hist` the sampled counts, or
-    None for exact-only artifacts (shots 0, seed and rng null). Both
-    maps come back as given, in the order their builder made them:
-    `probabilities` and `sample` build theirs in ascending key order.
-    """
-    return {
-        "shots": hist.shots if hist else 0,
-        "seed": hist.seed if hist else None,
-        "rng": hist.rng if hist else None,
-        "counts": hist.counts if hist else {},
-        "probabilities": probs,
-    }
 
 
 def bloch_measure(state, q: int) -> BlochVector:

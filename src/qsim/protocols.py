@@ -1,6 +1,6 @@
 """Bell states, the teleportation protocol (algebraic and circuit forms),
 and the identity-gate decoherence sweep, both executed by engine.run on
-either processor.
+either processor. Results are data: `cli` writes them as text.
 
 Teleportation layout used throughout: the state to send is prepared on
 wire 0, the entangled resource lives on wires 1 and 2, the sender's
@@ -212,24 +212,6 @@ def run_teleport(
     return TeleportResult(probabilities=probs, histogram=hist, branches=branches)
 
 
-@dataclass
-class SweepResult:
-    """p(0)/p(1) of the idle-decay probe as the idle length grows.
-
-    Each point is (n, p0, p1) where n counts identity gates; elapsed
-    time for a point is n * tau, tau being the device's gate time.
-    """
-
-    tau: float
-    points: list[tuple[int, float, float]]
-
-    def to_csv(self) -> str:
-        lines = ["n,t_seconds,p0,p1"]
-        for n, p0, p1 in self.points:
-            lines.append(f"{n},{n * self.tau!r},{p0!r},{p1!r}")
-        return "\n".join(lines) + "\n"
-
-
 def decoherence_sweep(
     qubit: int,
     n_max: int,
@@ -237,8 +219,9 @@ def decoherence_sweep(
     device: DeviceModel | None = None,
     shots: int | None = None,
     seed: int = 0,
-) -> SweepResult:
-    """Probe one qubit's decay by idling it in superposition.
+) -> list[tuple[int, float, float]]:
+    """Probe one qubit's decay by idling it in superposition: a list of
+    points (n, p0, p1), one per idle length n = 0..n_max in `id` gates.
 
     Point n is the readout of [h q; id x n; measure q] on wires 0..q:
     Hadamard puts the wire at the equator, the identity line holds it
@@ -283,4 +266,4 @@ def decoherence_sweep(
             p0 = hist.counts.get("0", 0) / shots
             p1 = hist.counts.get("1", 0) / shots
         points.append((n, p0, p1))
-    return SweepResult(tau=device.gate_time_tau_s, points=points)
+    return points

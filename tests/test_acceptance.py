@@ -138,17 +138,16 @@ def test_c5_decoherence_sweep_shape_and_ordering():
         for q, sweep in sweeps.items():
             gamma = device.qubits[q].gamma_relax
             assert device.qubits[q].gamma_phase == 0.0
-            for n, p0, _ in sweep.points:
+            for n, p0, _ in sweep:
                 assert p0 == pytest.approx(1 - (1 - gamma) ** (n + 1) / 2, abs=1e-12)
         # strictly increasing toward 1 (shape of the published decay trend;
         # the hardware's own numbers are not tabulated anywhere reusable)
-        p0s = [p0 for _, p0, _ in sweeps[3].points]
+        p0s = [p0 for _, p0, _ in sweeps[3]]
         assert all(b > a for a, b in zip(p0s, p0s[1:]))
         assert p0s[-1] > 0.93
         # the weakest qubit dominates every other qubit at every n
         for q in (0, 1, 2, 4):
-            for (_, other, _), (_, worst, _) in zip(sweeps[q].points,
-                                                    sweeps[3].points):
+            for (_, other, _), (_, worst, _) in zip(sweeps[q], sweeps[3]):
                 assert worst >= other
 
 

@@ -299,15 +299,19 @@ class TestDeviceModel:
                  "gate_time_tau_s": 1e-7, "qubits": []}
         unwritable = {**empty, "name": "q\ud800", "num_qubits": 1,
                       "qubits": [{"gamma_relax": 0.0, "gamma_phase": 0.0}]}
-        # the deep one overflows the json parser's recursion; then bytes that
-        # are not UTF-8, a value from_dict cannot read, an integer past
-        # Python's digit limit, and two devices __post_init__ refuses: no
-        # qubit, and a name no report can print
-        for text in (b"{not json", b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe", b"[]",
-                     b"1" * 5000, json.dumps(empty).encode(), json.dumps(unwritable).encode()):
+        # the deep one overflows the json parser's recursion; then two byte
+        # strings that are not UTF-8 (the second a cut byte-order mark), a
+        # value from_dict cannot read, an integer past Python's digit limit,
+        # and two devices __post_init__ refuses: no qubit, and a name no
+        # report can print
+        for text in (b"{not json", b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe", b"\xef\xbb",
+                     b"[]", b"1" * 5000, json.dumps(empty).encode(),
+                     json.dumps(unwritable).encode()):
             path.write_bytes(text)
-            with pytest.raises(DeviceError, match=re.escape(f"{path}: ")):
+            with pytest.raises(DeviceError, match=re.escape(f"{path}: ")) as refused:
                 load_device(path)
+            if text in (b"\xff\xfe", b"\xef\xbb"):
+                assert str(refused.value).startswith(f"{path}: 'utf-8' codec can't decode ")
 
     @pytest.mark.parametrize("field, value, message", [
         ("num_qubits", 5.7, "num_qubits must be an integer, got 5.7"),

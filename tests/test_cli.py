@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsim.circuit import default_device, load_device, parse
-from qsim.cli import DEFAULT_SHOTS, _violation_report, main, simulate_text
+from qsim.cli import (
+    DEFAULT_SHOTS,
+    _violation_report,
+    main,
+    simulate_text,
+    sweep_text,
+    teleport_text,
+)
 from qsim.errors import ValidationError
 
 from oracles import EXACT_ATOL, exact_probabilities
@@ -227,6 +234,29 @@ class TestSweep:
         assert "p0 vs n" in captured.err
         assert "p0 vs n" not in captured.out
 
+    @pytest.mark.parametrize("sampling, chart", [
+        (["--probabilities"], [
+            "n=   0  p0=0.510000  " + "#" * 56,
+            "n=   1  p0=0.519800  " + "#" * 57,
+            "n=   2  p0=0.529404  " + "#" * 58,
+            "n=   3  p0=0.538816  " + "#" * 59,
+            "n=   4  p0=0.548040  " + "#" * 60,
+        ]),
+        (["--shots", "100", "--seed", "7"], [
+            "n=   0  p0=0.460000  " + "#" * 47,
+            "n=   1  p0=0.480000  " + "#" * 49,
+            "n=   2  p0=0.590000  " + "#" * 60,
+            "n=   3  p0=0.430000  " + "#" * 44,
+            "n=   4  p0=0.550000  " + "#" * 56,
+        ]),
+    ], ids=["exact", "sampled"])
+    def test_plot_bytes(self, sampling, chart, monkeypatch, capsys):
+        monkeypatch.delenv("QSIM_DEVICE", raising=False)
+        assert main(["sweep", "--qubit", "3", "--n-max", "4", *sampling, "--plot"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "\n".join(["p0 vs n, qubit 3, real processor", *chart]) + "\n"
+        assert captured.out.startswith("n,t_seconds,p0,p1\n")
+
     def test_qubit_off_device_is_usage_error(self, capsys):
         # an off-device wire is a validator finding (exit 1), as in `validate`
         assert main(["sweep", "--qubit", "9", "--n-max", "3"]) == 1
@@ -352,16 +382,19 @@ class TestRefusals:
                  "gate_time_tau_s": 1e-7, "qubits": []}
         unwritable = {**empty, "name": "q\ud800", "num_qubits": 1,
                       "qubits": [{"gamma_relax": 0.0, "gamma_phase": 0.0}]}
-        # the deep one overflows the parser; then not UTF-8, not a device
-        # object, past Python's int digit limit, a device with no qubit and
-        # one whose name cannot be printed
-        for text in (b"{", b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe", b"[]", b"1" * 5000,
-                     json.dumps(empty).encode(), json.dumps(unwritable).encode()):
+        # the deep one overflows the parser; then two that are not UTF-8 (the
+        # second a cut byte-order mark), not a device object, past Python's
+        # int digit limit, a device with no qubit and one whose name cannot
+        # be printed
+        for text in (b"{", b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe", b"\xef\xbb", b"[]",
+                     b"1" * 5000, json.dumps(empty).encode(), json.dumps(unwritable).encode()):
             dev.write_bytes(text)
             for command in ("validate", "simulate"):
                 assert main([command, str(path), "--device", str(dev)]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith(f"error: {dev}: ") and err.count("\n") == 1
+                if text in (b"\xff\xfe", b"\xef\xbb"):
+                    assert err.startswith(f"error: {dev}: 'utf-8' codec can't decode ")
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["simulate", "--seed", "7"]],
@@ -381,11 +414,14 @@ def test_circuit_file_with_byte_order_mark_reads_as_plain(argv, tmp_path, monkey
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_circuit_file_not_utf8_names_itself(command, tmp_path, capsys):
     path = tmp_path / "bad.qc"
-    path.write_bytes(b"qubits 1\n\xff\n")
-    assert main([command, str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    # the last two are a byte-order mark cut short, which is not UTF-8 either
+    for content in (b"qubits 1\n\xff\n", b"\xef", b"\xef\xbb"):
+        path.write_bytes(content)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode ")
+        assert captured.err.count("\n") == 1
 
 # Any argv of the four subcommands ends in exit 0, 1 or 2 with no escaping
 # exception, and prints the same stdout when run again. Circuit text mixes
@@ -561,6 +597,86 @@ def test_simulate_text_refuses_bad_format_and_shots(fmt, shots, message):
     circuit = parse(BELL_TEXT)
     with pytest.raises(ValueError, match=re.escape(message)):
         simulate_text(circuit, default_device(), "ideal", fmt, shots, 7)
+
+
+# teleport_text and sweep_text are the artifacts of `qsim teleport` and
+# `qsim sweep`: on every golden invocation of either, and on one the
+# validator refuses, sampled and exact, each returns main's stdout or raises
+# the refusal main reports.
+TELEPORT_CASES = {
+    **{n: argv for n, argv in GOLDEN_CASES.items() if argv[0] == "teleport"},
+    "teleport_one_real_q0_targets": ["teleport", "--state", "one", "--processor", "real",
+                                     "--device", "Q0_TARGETS"],
+}
+SWEEP_CASES = {
+    **{n: argv for n, argv in GOLDEN_CASES.items() if argv[0] == "sweep"},
+    "sweep_q9": ["sweep", "--qubit", "9", "--n-max", "3"],
+}
+
+
+def _assert_text_is_mains_stdout(argv, exact, tmp_path, text):
+    """text(opts, device, shots, seed), with argv's options by name, is
+    main's stdout for argv, or raises the refusal main reports."""
+    q0_targets = str(_device_file(tmp_path / "q0-targets.json", 3, [0]))
+    argv = [q0_targets if a == "Q0_TARGETS" else a for a in argv]
+    opts, rest = {}, argv[1:]
+    while rest:  # --probabilities and --plot take no value
+        key, *rest = rest
+        opts[key] = True if key in ("--probabilities", "--plot") else rest.pop(0)
+    code, stdout = _golden_run(argv + ["--probabilities"] * exact).split("\n", 1)
+    shots = None if exact or "--probabilities" in opts else int(opts.get("--shots", DEFAULT_SHOTS))
+    device = load_device(REPO / opts["--device"]) if "--device" in opts else default_device()
+    args = (opts, device, shots, int(opts.get("--seed", 0)))
+    if code == "exit 0":
+        assert text(*args) == stdout
+    else:
+        assert code == "exit 1"
+        with pytest.raises(ValidationError) as refused:
+            text(*args)
+        assert _violation_report(refused.value.circuit, refused.value.violations) == stdout
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+@pytest.mark.parametrize("name", sorted(TELEPORT_CASES))
+def test_teleport_text_is_mains_stdout(name, exact, tmp_path, monkeypatch):
+    monkeypatch.delenv("QSIM_DEVICE", raising=False)
+    _assert_text_is_mains_stdout(
+        TELEPORT_CASES[name], exact, tmp_path,
+        lambda opts, device, shots, seed: teleport_text(
+            opts["--state"], device, opts.get("--processor", "ideal"),
+            opts.get("--format", "ascii"), shots, seed))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_text_is_mains_stdout(name, exact, tmp_path, monkeypatch):
+    monkeypatch.delenv("QSIM_DEVICE", raising=False)
+    _assert_text_is_mains_stdout(
+        SWEEP_CASES[name], exact, tmp_path,
+        lambda opts, device, shots, seed: sweep_text(
+            int(opts["--qubit"]), int(opts["--n-max"]), device,
+            opts.get("--processor", "real"), shots, seed))
+
+
+@pytest.mark.parametrize("state, fmt, message", [
+    ("zero", "ascii", "state must be one of one, plus, got 'zero'"),
+    ("one", "csv", "format must be one of json, ascii, got 'csv'"),
+])
+def test_teleport_text_refuses_bad_state_and_format(state, fmt, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        teleport_text(state, default_device(), "ideal", fmt, None, 7)
+
+
+def test_sweep_plot_runs_the_sweep_once(monkeypatch, capsys):
+    import qsim.protocols
+
+    calls = []
+    sweep = qsim.protocols.decoherence_sweep
+    monkeypatch.setattr(qsim.protocols, "decoherence_sweep",
+                        lambda *a, **kw: calls.append(a) or sweep(*a, **kw))
+    assert main(["sweep", "--qubit", "3", "--n-max", "4", "--plot"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().err.startswith("p0 vs n, qubit 3, real processor\n")
 
 
 # Any JSON value or raw bytes as --device: validate and a real-processor

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from qsim.engine import run
 from qsim.circuit import parse
+from qsim.cli import histogram_json_fields
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import (
     RNG_ALGORITHM,
     Histogram,
     _bit_keys,
     bloch_measure,
-    histogram_json_fields,
     probabilities,
     sample,
 )

@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "BellIndex", "BlochMeasure", "BlochVector", "BranchReport", "CapacityError",
     "Circuit", "Cnot", "DensityMatrix", "DeviceError", "DeviceModel", "Gate1",
     "GateKind", "Histogram", "KrausChannel", "MeasureZ", "NoiseConfig", "ParseError",
-    "PureState", "QsimError", "QubitNoise", "SweepResult", "TeleportResult",
+    "PureState", "QsimError", "QubitNoise", "TeleportResult",
     "UntranspilableError", "ValidationError", "Violation", "ViolationCode",
     "amplitude_damping", "apply_1q", "apply_cnot", "bell_state", "bloch_measure",
     "build_teleport_circuit", "circuit_correction_table", "correction_for",
@@ -66,6 +66,13 @@ def test_import_qsim_loads_no_submodule():
     assert {m for m in modules if m.startswith("qsim")} == {"qsim"}
 
 
+def test_histogram_json_fields_loads_no_numpy():
+    # the JSON schema lives in cli, which imports numpy only to run a circuit
+    result, modules = _modules_after("import qsim\nresult = qsim.histogram_json_fields({})")
+    assert result == {"shots": 0, "seed": None, "rng": None, "counts": {}, "probabilities": {}}
+    assert "numpy" not in modules
+
+
 @pytest.mark.parametrize("command, text, code", [
     ("validate", ACCEPTED, 0), ("validate", FORBIDDEN_CX, 1), ("validate", MALFORMED, 2),
     ("simulate", MALFORMED, 2),  # numpy loads only once the circuit has parsed
@@ -79,6 +86,7 @@ def test_validate_loads_no_numpy(tmp_path, command, text, code):
     assert result == code
     assert "numpy" not in modules
     assert not modules & {"qsim.engine", "qsim.measure", "qsim.protocols", "qsim.states"}
+    assert "encodings.utf_8_sig" not in modules  # circuit.read_utf8 drops the mark itself
 
 
 def test_simulate_loads_no_protocols(tmp_path):
@@ -89,3 +97,4 @@ def test_simulate_loads_no_protocols(tmp_path):
     assert result == 0
     assert {"numpy", "qsim.engine", "qsim.measure"} <= modules
     assert "qsim.protocols" not in modules
+    assert "encodings.utf_8_sig" not in modules

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsim.circuit import Circuit, Gate1, MeasureZ, QubitNoise, default_device, parse, validate
+from qsim.cli import sweep_text
 from qsim.engine import PROCESSORS, run
 from qsim.errors import ValidationError
 from qsim.gates import GateKind, matrix_of
@@ -260,7 +261,7 @@ class TestRunTeleport:
 class TestDecoherenceSweep:
     def test_ideal_engine_stays_flat(self):
         res = decoherence_sweep(3, 10, processor="ideal", shots=None)
-        for _, p0, p1 in res.points:
+        for _, p0, p1 in res:
             assert p0 == pytest.approx(0.5, abs=1e-12)
             assert p1 == pytest.approx(0.5, abs=1e-12)
 
@@ -268,13 +269,13 @@ class TestDecoherenceSweep:
         device = default_device()
         gamma = device.qubits[3].gamma_relax
         res = decoherence_sweep(3, 40, processor="real", device=device, shots=None)
-        for n, p0, p1 in res.points:
+        for n, p0, p1 in res:
             assert p0 == pytest.approx(1 - (1 - gamma) ** (n + 1) / 2, abs=1e-12)
             assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
 
     def test_p0_strictly_increases_without_dephasing(self):
         res = decoherence_sweep(1, 30, processor="real", shots=None)
-        p0s = [p0 for _, p0, _ in res.points]
+        p0s = [p0 for _, p0, _ in res]
         assert all(b > a for a, b in zip(p0s, p0s[1:]))
 
     def test_weakest_qubit_dominates_everywhere(self):
@@ -282,20 +283,18 @@ class TestDecoherenceSweep:
         sweeps = {q: decoherence_sweep(q, 30, device=device, shots=None)
                   for q in range(device.num_qubits)}
         for q in (0, 1, 2, 4):
-            for (_, p0_other, _), (_, p0_worst, _) in zip(
-                    sweeps[q].points, sweeps[3].points):
+            for (_, p0_other, _), (_, p0_worst, _) in zip(sweeps[q], sweeps[3]):
                 assert p0_worst >= p0_other
 
     def test_sampled_mode_uses_derived_seeds(self):
         a = decoherence_sweep(0, 3, shots=512, seed=9)
         b = decoherence_sweep(0, 3, shots=512, seed=9)
-        assert a.points == b.points
-        for _, p0, p1 in a.points:
+        assert a == b
+        for _, p0, p1 in a:
             assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
     def test_csv_layout(self):
-        res = decoherence_sweep(2, 2, processor="ideal", shots=None)
-        lines = res.to_csv().splitlines()
+        lines = sweep_text(2, 2, default_device(), "ideal", None, 0).splitlines()
         assert lines[0] == "n,t_seconds,p0,p1"
         assert len(lines) == 4
         n, t, p0, p1 = lines[1].split(",")
@@ -346,7 +345,7 @@ def test_sweep_rows_equal_independent_runs(processor, qubit, n_max, shots, seed,
             counts = sample(state, [qubit], shots, seed ^ n).counts
             expected.append((n, counts.get("0", 0) / shots, counts.get("1", 0) / shots))
     res = decoherence_sweep(qubit, n_max, processor, device, shots, seed)
-    assert res.points == expected
+    assert res == expected
 
 
 @pytest.mark.parametrize("processor", PROCESSORS)
