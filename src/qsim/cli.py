@@ -25,7 +25,7 @@ Each subcommand imports only what it runs: argument handling, `validate`
 and the parse step of every subcommand need `circuit`, `gates` and
 `errors` alone, so a `validate` process never loads numpy. `simulate`
 loads the engine and `measure` (and with them numpy) only once the
-circuit has parsed and has a `measure` or `bloch` to report, and only
+circuit has parsed and passed its one validator pass, and only
 `teleport` and `sweep` load `protocols`.
 """
 
@@ -168,24 +168,21 @@ def simulate_text(circuit: Circuit, device: DeviceModel, processor: str, fmt: st
 
     `fmt` is one of FORMATS. `shots=None` reports exact probabilities;
     any other value is the shot count `sample` draws (and refuses when
-    out of range) for a circuit that measures a wire. A circuit with
-    neither readout nor `bloch` marker raises ValidationError with all
-    its findings, as `run` does for a refused one.
+    out of range) for a circuit that measures a wire. Any `check` finding,
+    a circuit with neither `measure` nor `bloch` included, raises
+    ValidationError with all of them before the engine is imported.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     measured = circuit.measured_qubits()
     tomographed = circuit.bloch_qubits()
-    if not measured and not tomographed:
-        # run() evolves a circuit that measures nothing, but there is
-        # nothing to report: refuse it here, with all its findings.
-        raise ValidationError(check(circuit, processor, device), circuit)
-    # imported here, after the caller's parse and the refusal above: a
-    # malformed file or a circuit with no readout exits without numpy
-    from .engine import run
+    problems = check(circuit, processor, device)  # the run's one validator pass
+    if problems:  # before the imports below, so a refused circuit exits without numpy
+        raise ValidationError(problems, circuit)
+    from .engine import _evolve
     from .measure import bloch_measure, probabilities, sample
 
-    state = run(circuit, processor, device)
+    state = _evolve(circuit, processor, device)
     probs = probabilities(state, measured) if measured else {}
     hist = None
     if shots is not None and measured:

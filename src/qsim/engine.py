@@ -149,15 +149,18 @@ def run(
             Either way `check_capacity` first refuses a register wider
             than the engine holds.
     """
-    real = processor == "real"
-    if real and device is None:
+    if processor == "real" and device is None:
         device = default_device()
-    problems = [
-        v for v in check(circuit, processor, device)
-        if v.code is not ViolationCode.NO_MEASUREMENT
-    ]
+    problems = [v for v in check(circuit, processor, device)
+                if v.code is not ViolationCode.NO_MEASUREMENT]
     if problems:
         raise ValidationError(problems, circuit)
+    return _evolve(circuit, processor, device, noise, initial)
+
+
+def _evolve(circuit, processor, device, noise=None, initial=None):
+    """run's body after its check: the caller has checked the circuit and `processor`."""
+    real = processor == "real"
     n = circuit.num_qubits
     kind = DensityMatrix if real else PureState
     check_capacity(kind, n)
@@ -169,7 +172,7 @@ def run(
             raise ValueError(f"initial state must be a {n}-qubit {kind.__name__}")
         state = initial.copy()
         pos = {q: q for q in range(n)}
-    rates = (noise or NoiseConfig.from_device(device)).slot(n) if real else {}
+    rates = (noise or NoiseConfig(device)).slot(n) if real else {}
     flushed = dict.fromkeys(rates, 0)  # gate count at each noisy wire's last flush
     gates = 0
     frame = {}  # wire -> its pending monomial M_q, as (a, b, c, d)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class Histogram:
     shots: int
     counts: dict[str, int]
     seed: int
-    rng: str = RNG_ALGORITHM
+    rng: ClassVar[str] = RNG_ALGORITHM  # the one algorithm `sample` draws with
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def sample(state, measured: Sequence[int], shots: int, seed: int) -> Histogram:
     drawn = rng.multinomial(shots, pvec)
     hit = np.flatnonzero(drawn)
     counts = dict(zip(_bit_keys(keep[hit], len(measured)), drawn[hit].tolist()))
-    return Histogram(shots=int(shots), counts=counts, seed=int(seed), rng=RNG_ALGORITHM)
+    return Histogram(shots=int(shots), counts=counts, seed=int(seed))
 
 
 def bloch_measure(state, q: int) -> BlochVector:

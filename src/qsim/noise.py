@@ -109,6 +109,7 @@ class NoiseConfig:
 
     @classmethod
     def from_device(cls, device: DeviceModel, enabled: bool = True) -> "NoiseConfig":
+        """The constructor under another name, kept only for perfbench/workloads.py."""
         return cls(device, enabled)
 
     def slot(self, num_qubits: int) -> dict[int, tuple[float, float]]:

@@ -1,6 +1,6 @@
 """Bell states, the teleportation protocol (algebraic and circuit forms),
-and the identity-gate decoherence sweep, both executed by engine.run on
-either processor. Results are data: `cli` writes them as text.
+and the identity-gate decoherence sweep, both executed by engine's one
+interpreter on either processor. Results are data: `cli` writes them as text.
 
 Teleportation layout used throughout: the state to send is prepared on
 wire 0, the entangled resource lives on wires 1 and 2, the sender's
@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, _is_int, default_device, validate
-from .engine import run
+from .engine import PROCESSORS, _evolve, run
 from .errors import ValidationError
 from .gates import ENTRIES, GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
@@ -223,15 +223,15 @@ def decoherence_sweep(
     """Probe one qubit's decay by idling it in superposition: a list of
     points (n, p0, p1), one per idle length n = 0..n_max in `id` gates.
 
-    Point n is the readout of [h q; id x n; measure q] on wires 0..q:
-    Hadamard puts the wire at the equator, the identity line holds it
-    there for n gate slots, and the readout records how far the
-    population has drifted back toward |0>. The slot commutes with `id`,
-    so engine.run applies all n + 1 slots of that circuit at its end;
-    here `h` runs once and each point applies them to a copy, so a
-    sweep costs O(n_max). Only the probe wire is charged: wires 0..q-1
-    stay |0><0|, the slot's fixed point. On the ideal engine every point is 0.5/0.5; on
-    the real engine p0 climbs toward 1 at the wire's relaxation rate.
+    Point n is the readout of [h q; id x n; measure q] on wires 0..q: Hadamard puts the
+    wire at the equator, the identity line holds it there for n gate slots, and the
+    readout records how far the population has drifted back toward |0>. The slot
+    commutes with `id`, so engine.run applies all n + 1 slots of that circuit at its
+    end; here `h` runs once and each point applies them to a copy, so a sweep costs
+    O(n_max). Only the probe wire is charged: wires 0..q-1 stay |0><0|, the slot's fixed
+    point. On the ideal engine every exact point has p0 = p1 = 0.4999999999999999, the
+    gate table's rounded 1/√2 squared; on the real engine p0 climbs toward 1 at the
+    wire's relaxation rate.
 
     shots=None records exact probabilities; otherwise each point is
     sampled with its own derived seed (seed XOR n). On either processor
@@ -246,12 +246,14 @@ def decoherence_sweep(
 
     wires = qubit + 1
     probe = Circuit(wires, [Gate1(GateKind.H, qubit), MeasureZ(qubit)])
-    findings = validate(probe, device)
+    findings = validate(probe, device)  # the device's rules, on either processor
     if findings:
         raise ValidationError(findings, probe)
-    equator = run(probe, processor, device, NoiseConfig.from_device(device, enabled=False))
+    if processor not in PROCESSORS:
+        raise ValueError(f"processor must be one of {PROCESSORS}, got {processor!r}")
+    equator = _evolve(probe, processor, device, NoiseConfig(device, enabled=False))
     # the probe wire's rates only: the slot leaves the |0><0| wires as they are
-    rates = NoiseConfig.from_device(device).slot(wires).get(qubit) if processor == "real" else None
+    rates = NoiseConfig(device).slot(wires).get(qubit) if processor == "real" else None
     points = []
     for n in range(n_max + 1):
         state = equator.copy()

@@ -11,6 +11,7 @@ import pytest
 import qsim
 
 SRC = Path(qsim.__file__).resolve().parent.parent
+BELL = Path(__file__).resolve().parents[1] / "circuits" / "bell.qc"  # cx q0 q1: refused on real
 PUBLIC_NAMES = [
     "BellIndex", "BlochMeasure", "BlochVector", "BranchReport", "CapacityError",
     "Circuit", "Cnot", "DensityMatrix", "DeviceError", "DeviceModel", "Gate1",
@@ -87,6 +88,23 @@ def test_validate_loads_no_numpy(tmp_path, command, text, code):
     assert "numpy" not in modules
     assert not modules & {"qsim.engine", "qsim.measure", "qsim.protocols", "qsim.states"}
     assert "encodings.utf_8_sig" not in modules  # circuit.read_utf8 drops the mark itself
+
+
+def test_refused_real_simulate_loads_no_numpy(capsys):
+    # the device is checked before the engine is imported, so a refusal
+    # prints validate's report without loading numpy or a state module
+    result, modules = _modules_after(
+        "import contextlib, io\nfrom qsim.cli import main\nout = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = main(['simulate', {str(BELL)!r}, '--processor', 'real'])\n"
+        "result = [code, out.getvalue()]")
+    from qsim.cli import main
+
+    assert main(["validate", str(BELL)]) == 1
+    report = capsys.readouterr().out
+    assert "CnotTargetForbidden" in report
+    assert result == [1, report]
+    assert not modules & {"numpy", "qsim.engine", "qsim.measure", "qsim.noise", "qsim.states"}
 
 
 def test_simulate_loads_no_protocols(tmp_path):

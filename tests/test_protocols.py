@@ -1,6 +1,7 @@
 """Bell states, both teleportation routes, and the idle-decay sweep."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsim.circuit import Circuit, Gate1, MeasureZ, QubitNoise, default_device, parse, validate
-from qsim.cli import sweep_text
+from qsim.cli import simulate_text, sweep_text
 from qsim.engine import PROCESSORS, run
 from qsim.errors import ValidationError
 from qsim.gates import GateKind, matrix_of
@@ -264,6 +265,8 @@ class TestDecoherenceSweep:
         for _, p0, p1 in res:
             assert p0 == pytest.approx(0.5, abs=1e-12)
             assert p1 == pytest.approx(0.5, abs=1e-12)
+        # exactly: the gate table's rounded 1/√2, squared
+        assert {p for _, p0, p1 in res for p in (p0, p1)} == {matrix_of(GateKind.H)[0, 0].real ** 2}
 
     def test_real_engine_matches_closed_form(self):
         device = default_device()
@@ -318,6 +321,56 @@ class TestDecoherenceSweep:
             decoherence_sweep(1, 2.5)
         with pytest.raises(ValueError, match="n_max must be an integer"):
             decoherence_sweep(1, True)
+
+    def test_unknown_processor_is_refused(self):
+        message = "processor must be one of ('ideal', 'real'), got 'bogus'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decoherence_sweep(3, 2, processor="bogus")
+        with pytest.raises(ValidationError):  # the probe is checked first, as before
+            decoherence_sweep(7, 2, processor="bogus")
+
+
+@pytest.mark.parametrize("processor", PROCESSORS)
+def test_one_validator_pass_per_run(monkeypatch, processor):
+    """run, simulate_text, run_teleport and decoherence_sweep each call
+    validate once, accepted or refused: the sweep's own pass stands in
+    for run's, and simulate_text's for the engine's."""
+    import qsim.circuit
+    import qsim.protocols
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(qsim.circuit, "validate", spy)  # what check calls
+    monkeypatch.setattr(qsim.protocols, "validate", spy)
+    device = default_device()
+    accepted = parse((CIRCUITS / "teleport_one.qc").read_text())
+    gate_after_measure = Circuit(1, [MeasureZ(0), Gate1(GateKind.H, 0)])
+    no_readout = Circuit(1, [Gate1(GateKind.H, 0)])
+    runs = [
+        lambda: run(accepted, processor, device),
+        lambda: simulate_text(accepted, device, processor, "json", 64, 0),
+        lambda: run_teleport((GateKind.H,), processor, 64, 0, device),
+        lambda: decoherence_sweep(3, 2, processor, device),
+    ]
+    for call in runs:
+        calls.clear()
+        call()
+        assert len(calls) == 1
+    refusals = [
+        lambda: run(gate_after_measure, processor, device),
+        lambda: simulate_text(gate_after_measure, device, processor, "json", 64, 0),
+        lambda: simulate_text(no_readout, device, processor, "json", 64, 0),
+        lambda: decoherence_sweep(6, 2, processor, device),  # off the 5-qubit device
+    ]
+    for call in refusals:
+        calls.clear()
+        with pytest.raises(ValidationError):
+            call()
+        assert len(calls) == 1
 
 
 PACKAGED = default_device()
