@@ -27,12 +27,22 @@ and the parse step of every subcommand need `circuit`, `gates` and
 loads the engine and `measure` (and with them numpy) only once the
 circuit has parsed and passed its one validator pass, and only
 `teleport` and `sweep` load `protocols`.
+
+`main()` with no argument serves the process's own command line, and
+the process ends when it returns (the `qsim` console script, `python -m
+qsim.cli`). Such a run keeps the cyclic garbage collector off while it
+parses, imports and runs, and freezes every object it leaves before it
+returns, so the full collection at interpreter shutdown skips numpy's
+import-time object graph. Stdout and stderr are still flushed and atexit
+handlers still run. `main(argv)` with a list leaves the collector as it
+found it, and importing this module does not touch it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -347,6 +357,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one qsim command and return its exit code.
+
+    argv=None reads sys.argv and is the process's whole life: the cyclic
+    collector stays off until the command is done (argparse's SystemExit
+    included), then every live object is frozen and the collector's
+    enabled state restored. Frozen objects sit outside every generation,
+    so the shutdown collection, which runs even with the collector off,
+    neither walks nor frees them. Unlike os._exit this still flushes
+    stdio and runs atexit handlers. A list argv leaves gc untouched, as
+    in-process callers need.
+    """
+    if argv is not None:
+        return _run(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(None)
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "seed", 0) < 0:  # simulate, teleport and sweep
         sys.stderr.write("error: --seed must be >= 0\n")

@@ -1,10 +1,13 @@
 """CLI contract: exit codes, formats, determinism, device resolution."""
 
 import contextlib
+import gc
 import io
 import json
 import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsim
 from qsim.circuit import default_device, load_device, parse
 from qsim.cli import (
     DEFAULT_SHOTS,
@@ -529,12 +533,23 @@ GOLDEN_CASES = {
 }
 
 
+def _repo_paths(argv) -> list[str]:
+    return [str(REPO / a) if a.startswith(("circuits/", "tests/data/")) else a for a in argv]
+
+
+def _in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(_repo_paths(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def _golden_run(argv) -> str:
-    argv = [str(REPO / a) if a.startswith(("circuits/", "tests/data/")) else a for a in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return f"exit {code}\n{out.getvalue()}"
+    code, out, _ = _in_process(argv)
+    return f"exit {code}\n{out}"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -542,6 +557,70 @@ def test_stdout_matches_golden(name, monkeypatch):
     monkeypatch.delenv("QSIM_DEVICE", raising=False)
     expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
     assert _golden_run(GOLDEN_CASES[name]) == expected
+
+
+# The console script calls main() with no argument, which runs with the
+# cyclic collector off and freezes what it leaves. A process run through
+# that path prints the bytes main(argv) prints in-process, and -o writes
+# them to the file instead.
+ENTRY = "import sys; from qsim.cli import main; sys.exit(main())"
+PROCESS_CASES = {
+    **{n: GOLDEN_CASES[n] for n in ("simulate_bell_ideal_json",
+                                    "simulate_tomography_plus_ideal_ascii",
+                                    "teleport_one_real", "sweep_q3_sampled")},
+    "refused": ["simulate", "circuits/bell.qc", "--processor", "real"],
+    "parse_error": ["simulate", "tests/data/malformed.qc"],
+    "bad_option": ["sweep", "--qubit", "3", "--n-max", "x"],  # argparse's SystemExit
+}
+
+
+def _process(code: str, argv) -> subprocess.CompletedProcess:
+    """Run code with argv as sys.argv[1:] in a fresh interpreter that
+    imports the qsim these tests import (the installed one, in CI)."""
+    env = {k: v for k, v in os.environ.items() if k != "QSIM_DEVICE"}
+    src = str(Path(qsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *_repo_paths(argv)], capture_output=True,
+                          text=True, encoding="utf-8", env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_CASES))
+def test_process_prints_what_main_prints_in_process(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("QSIM_DEVICE", raising=False)
+    argv = PROCESS_CASES[name]
+    proc = _process(ENTRY, argv)
+    code, out, err = _in_process(argv)
+    assert code == {"refused": 1, "parse_error": 2, "bad_option": 2}.get(name, 0)
+    assert f"exit {proc.returncode}\n{proc.stdout}" == f"exit {code}\n{out}"
+    assert proc.stderr == err
+    if name in GOLDEN_CASES:
+        assert f"exit {code}\n{out}" == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+        written = _process(ENTRY, argv + ["-o", str(tmp_path / "out.txt")])
+        assert (written.returncode, written.stdout, written.stderr) == (0, "", "")
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("name", ["simulate_bell_ideal_json", "bad_option"])
+def test_process_main_freezes_its_objects(name):
+    # on every exit path, argparse's SystemExit included, the collector
+    # is back on and the objects the command left are frozen
+    proc = _process("import gc, sys\nfrom qsim.cli import main\ntry:\n    main()\nfinally:\n"
+                    "    print(gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr)",
+                    PROCESS_CASES[name])
+    assert proc.stderr.splitlines()[-1] == "True True"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_with_argv_leaves_the_collector_alone(enabled, monkeypatch):
+    monkeypatch.delenv("QSIM_DEVICE", raising=False)
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for name, code in (("simulate_bell_ideal_json", 0), ("refused", 1), ("bad_option", 2)):
+            assert _in_process(PROCESS_CASES[name])[0] == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 
