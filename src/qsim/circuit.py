@@ -46,7 +46,7 @@ PROCESSORS = ("ideal", "real")  # engine.run's statevector and density-matrix en
 def _is_int(x) -> bool:
     """The package's one integer rule, for wire indices, counts and seeds: a
     Python or numpy integer, but not a bool (which indexes numpy as a mask)."""
-    # runs per gate and per noise wire: plain ints skip the ~0.7 us ABC lookup
+    # runs per wire check and per `decohere` flush: plain ints skip the ~0.7 us ABC lookup
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 

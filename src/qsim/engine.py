@@ -165,7 +165,7 @@ def _evolve(circuit, processor, device, noise=None, initial=None):
     kind = DensityMatrix if real else PureState
     check_capacity(kind, n)
     if initial is None:
-        state = kind(0, np.ones((1, 1) if real else 1))
+        state = kind(np.ones((1, 1) if real else 1))
         pos = {}  # active wire -> its buffer position
     else:
         if not isinstance(initial, kind) or initial.num_qubits != n:

@@ -24,7 +24,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .circuit import _is_int
-from .states import DensityMatrix, PureState, _check_qubit, reduced_density_1q
+from .states import _check_qubit, _register, reduced_density_1q
 
 RNG_ALGORITHM = "pcg64"
 
@@ -69,20 +69,19 @@ def marginal(state, measured: Sequence[int]) -> np.ndarray:
     weight on the measured wires; sums |amp|^2 or the real diagonal over
     unmeasured wires.
     """
-    n = state.num_qubits
+    buf, _, copies = _register(state)
     for q in measured:
-        _check_qubit(n, q)
+        _check_qubit(state, q)
     if len(measured) == 0:
         raise ValueError("measured qubit list is empty")
     if len(set(measured)) != len(measured):
         raise ValueError("measured qubit list has duplicates")
-    if isinstance(state, PureState):
-        weights = np.abs(state.amps) ** 2
-    elif isinstance(state, DensityMatrix):
-        weights = np.real(np.diagonal(state.mat)).copy()
+    n = state.num_qubits
+    if len(copies) == 1:  # psi: one gate copy
+        weights = np.abs(buf) ** 2
+    else:  # rho's diagonal, every (2^n + 1)-th entry of its buffer
+        weights = np.real(buf[::(1 << n) + 1]).copy()
         np.clip(weights, 0.0, None, out=weights)
-    else:
-        raise TypeError(f"cannot measure {type(state).__name__}")
     drop = tuple(q for q in range(n) if q not in measured)
     flat = weights.reshape((2,) * n).sum(axis=drop).reshape(-1)
     if not np.isfinite(flat).all():  # an inf or NaN weight reaches its sum

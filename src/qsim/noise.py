@@ -42,6 +42,12 @@ class KrausChannel:
             raise ValueError("Kraus operators do not satisfy sum K†K = I")
 
 
+def _check_rate(name: str, rate: float) -> None:
+    """Refuse a channel rate outside [0, 1], NaN included."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"{name}={rate} outside [0, 1]")
+
+
 def amplitude_damping(gamma: float) -> KrausChannel:
     """Relaxation channel whose fixed point is |0><0|.
 
@@ -50,8 +56,7 @@ def amplitude_damping(gamma: float) -> KrausChannel:
     One application scales the excited population by (1-g) and the
     coherences by sqrt(1-g); iterating it drives any state to |0>.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma={gamma} outside [0, 1]")
+    _check_rate("gamma", gamma)
     k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return KrausChannel((k0, k1))
@@ -62,8 +67,7 @@ def dephasing(lam: float) -> KrausChannel:
 
     K0 = sqrt(1-l) I,  K1 = sqrt(l) Z
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda={lam} outside [0, 1]")
+    _check_rate("lambda", lam)
     k0 = math.sqrt(1.0 - lam) * np.eye(2, dtype=complex)
     k1 = math.sqrt(lam) * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     return KrausChannel((k0, k1))
@@ -77,12 +81,17 @@ def decohere(rho: DensityMatrix, q: int, gamma: float, lam: float,
     rho01, rho10 are scaled by sqrt(1-gamma) (1-2 lam).
 
     k slots are one slot with rates 1-(1-gamma)^k and (1-(1-2 lam)^k)/2;
-    a single slot uses gamma and lam as given.
+    a single slot uses gamma and lam as given. A state that is not a
+    DensityMatrix and a rate outside [0, 1] are refused.
     """
-    n = rho.num_qubits
-    _check_qubit(n, q)
+    _check_qubit(rho, q)
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"decohere needs a DensityMatrix, got {type(rho).__name__}")
+    _check_rate("gamma", gamma)
+    _check_rate("lambda", lam)
     if not _is_int(slots) or slots < 1:
         raise ValueError(f"slots must be an integer >= 1, got {slots!r}")
+    n = rho.num_qubits
     if slots > 1:
         gamma = 1.0 - (1.0 - gamma) ** slots
         lam = (1.0 - (1.0 - 2.0 * lam) ** slots) / 2.0

@@ -51,7 +51,7 @@ def bell_state(idx: BellIndex) -> PureState:
     vec = np.zeros(4, dtype=complex)
     vec[n] = _SQRT1_2                      # |0 n>
     vec[2 + (1 - n)] = (-1) ** m * _SQRT1_2  # |1 (1-n)>
-    return PureState(2, vec)
+    return PureState(vec)
 
 
 def correction_for(channel: BellIndex, outcome: BellIndex) -> tuple[GateKind, ...]:
@@ -110,7 +110,7 @@ def teleport_algebraic(
         bob[k] = proj @ joint[k::2]  # contract the two sender wires
     bob /= np.linalg.norm(bob)  # 1/2 for every normalized input: each branch has weight 1/4
     return (
-        PureState(1, bob),
+        PureState(bob),
         correction_for(channel, alice_outcome),
     )
 

@@ -24,8 +24,10 @@ much as on wire 0. engine.run runs its gate loop under a 256-element
 buffer, which removes that step. cx swaps two quarters over the
 (pre, 2, mid, 2, post) view of its wires; when post is 2, 4 or 8, each
 run of post amplitudes is copied as one void item, so the copy's inner
-loop runs along mid. A density matrix is the 2n-wire register of its
-buffer, so both processors run the same gate kernels. engine.run defers
+loop runs along mid. A state reads its size from its buffer, (2^n,) or
+(2^n, 2^n). `_register`, the one kind check, refuses a non-state and
+reads a density matrix as the 2n-wire register of its buffer, so both
+processors run the same gate kernels. engine.run defers
 diagonal and anti-diagonal gates and the real processor's noise slots,
 and applies them lazily. The public apply_1q and apply_cnot check their
 matrix and wires, then call the unchecked `_apply_1q` (2x2 entries as
@@ -56,19 +58,23 @@ from .errors import CapacityError
 MAX_DENSITY_QUBITS = 10
 
 
+def _wires(buf: np.ndarray, axes: int) -> int:
+    """n of a buffer of shape (2^n,) * axes, any n >= 0; another shape is refused."""
+    n = max(buf.size.bit_length() - 1, 0) // axes
+    if buf.shape != (1 << n,) * axes:
+        raise ValueError(f"buffer of shape {buf.shape} is not (2^n,) * {axes}")
+    return n
+
+
 @dataclass
 class PureState:
-    """Statevector over 2^num_qubits basis states (complex128)."""
+    """Statevector over 2^n basis states (complex128), n = num_qubits read from its length."""
 
-    num_qubits: int
     amps: np.ndarray
 
     def __post_init__(self):
         self.amps = np.ascontiguousarray(self.amps, dtype=complex)
-        if self.amps.shape != (1 << self.num_qubits,):
-            raise ValueError(
-                f"amplitude vector must have length 2^{self.num_qubits}"
-            )
+        self.num_qubits = _wires(self.amps, 1)
 
     @classmethod
     def from_amplitudes(cls, amps) -> "PureState":
@@ -83,34 +89,31 @@ class PureState:
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"amplitudes are not normalized (norm {norm})")
-        return cls(n, vec)
+        return cls(vec)
 
     def copy(self) -> "PureState":
-        return PureState(self.num_qubits, self.amps.copy())
+        return PureState(self.amps.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
     def to_density(self) -> "DensityMatrix":
         check_capacity(DensityMatrix, self.num_qubits)
-        return DensityMatrix(self.num_qubits, np.outer(self.amps, self.amps.conj()))
+        return DensityMatrix(np.outer(self.amps, self.amps.conj()))
 
 
 @dataclass
 class DensityMatrix:
-    """2^n x 2^n density operator (complex128)."""
+    """2^n x 2^n density operator (complex128), n = num_qubits read from its shape."""
 
-    num_qubits: int
     mat: np.ndarray
 
     def __post_init__(self):
         self.mat = np.ascontiguousarray(self.mat, dtype=complex)
-        dim = 1 << self.num_qubits
-        if self.mat.shape != (dim, dim):
-            raise ValueError(f"matrix must be {dim}x{dim}")
+        self.num_qubits = _wires(self.mat, 2)
 
     def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.num_qubits, self.mat.copy())
+        return DensityMatrix(self.mat.copy())
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
@@ -132,7 +135,7 @@ def zero_state(num_qubits: int) -> PureState:
     check_capacity(PureState, num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[0] = 1.0
-    return PureState(num_qubits, amps)
+    return PureState(amps)
 
 
 def zero_density(num_qubits: int) -> DensityMatrix:
@@ -141,7 +144,7 @@ def zero_density(num_qubits: int) -> DensityMatrix:
     dim = 1 << num_qubits
     mat = np.zeros((dim, dim), dtype=complex)
     mat[0, 0] = 1.0
-    return DensityMatrix(num_qubits, mat)
+    return DensityMatrix(mat)
 
 
 def _pair_update(flat: np.ndarray, m, pre: int, post: int) -> None:
@@ -199,22 +202,23 @@ def _pair_update(flat: np.ndarray, m, pre: int, post: int) -> None:
     np.add(bot, scratch, out=bot, order="C")
 
 
-def _check_qubit(n: int, q: int) -> None:
+def _check_qubit(state, q: int) -> None:
+    _register(state)
     if not _is_int(q):
         raise ValueError(f"qubit indices must be integers, got {q!r}")
-    if not 0 <= q < n:
-        raise ValueError(f"qubit index {q} out of range for {n} qubits")
+    if not 0 <= q < state.num_qubits:
+        raise ValueError(f"qubit index {q} out of range for {state.num_qubits} qubits")
 
 
 def _register(state) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """(flat buffer, wire count, wire offset of each gate copy). rho is a 2n-wire
-    register: U rho U† is U on wire q, then conj(U) on column wire n + q."""
+    """(flat buffer, wire count, wire offset of each gate copy); the one kind check.
+    rho is a 2n-wire register: U rho U† is U on wire q, then conj(U) on column wire n + q."""
     if isinstance(state, PureState):
         return state.amps, state.num_qubits, (0,)
     if isinstance(state, DensityMatrix):
         n = state.num_qubits
         return state.mat.reshape(-1), 2 * n, (0, n)
-    raise TypeError(f"cannot apply gates to {type(state).__name__}")
+    raise TypeError(f"expected a PureState or DensityMatrix, got {type(state).__name__}")
 
 
 def embed(state, wires, new_wires):
@@ -237,7 +241,7 @@ def embed(state, wires, new_wires):
     out = np.zeros((2,) * len(index), dtype=complex)
     out[index] = flat.reshape((2,) * k)
     dim = 1 << len(new_wires)
-    return type(state)(len(new_wires), out.reshape((dim,) * len(copies)))
+    return type(state)(out.reshape((dim,) * len(copies)))
 
 
 def apply_1q(state, u: np.ndarray, q: int):
@@ -259,7 +263,7 @@ def apply_1q(state, u: np.ndarray, q: int):
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("single-qubit gate matrix must be 2x2")
-    _check_qubit(state.num_qubits, q)
+    _check_qubit(state, q)
     return _apply_1q(state, u.tolist(), q)
 
 
@@ -301,9 +305,8 @@ def apply_cnot(state, control: int, target: int):
     Realized as a permutation of the control=1 slice, i.e. a swap of the
     target-bit halves, on both sides of a density matrix.
     """
-    n = state.num_qubits
-    _check_qubit(n, control)
-    _check_qubit(n, target)
+    _check_qubit(state, control)
+    _check_qubit(state, target)
     if control == target:
         raise ValueError("cnot control and target must differ")
     return _apply_cnot(state, control, target)
@@ -319,20 +322,17 @@ def _apply_cnot(state, control: int, target: int):
 
 def reduced_density_1q(state, q: int) -> np.ndarray:
     """2x2 reduced density matrix of wire q, for either state kind."""
-    if isinstance(state, PureState):
-        _check_qubit(state.num_qubits, q)
-        v = np.moveaxis(state.amps.reshape((2,) * state.num_qubits), q, 0)
-        v = v.reshape(2, -1)
+    _check_qubit(state, q)
+    flat, wires, copies = _register(state)
+    tensor = flat.reshape((2,) * wires)
+    if len(copies) == 1:  # psi: one gate copy
+        v = np.moveaxis(tensor, q, 0).reshape(2, -1)
         return v @ v.conj().T
-    if isinstance(state, DensityMatrix):
-        n = state.num_qubits
-        _check_qubit(n, q)
-        tensor = state.mat.reshape((2,) * (2 * n))
-        row = list(range(n))
-        col = [n + k if k == q else k for k in range(n)]
-        # copy: einsum may hand back a view when nothing gets traced (n == 1)
-        return np.einsum(tensor, row + col).copy()
-    raise TypeError(f"cannot reduce {type(state).__name__}")
+    n = state.num_qubits
+    row = list(range(n))
+    col = [n + k if k == q else k for k in range(n)]
+    # copy: einsum may hand back a view when nothing gets traced (n == 1)
+    return np.einsum(tensor, row + col).copy()
 
 
 def is_separable(state: PureState, tol: float = 1e-9) -> bool:

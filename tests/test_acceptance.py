@@ -116,7 +116,7 @@ def test_c4_correction_completeness():
                 assert phase_insensitive_overlap(psi, fixed) >= 1 - 1e-10
 
             # circuit route, shared plain pair, all four measured branches
-            initial = PureState(3, np.kron(psi, [1, 0, 0, 0]))
+            initial = PureState(np.kron(psi, [1, 0, 0, 0]))
             state = run(build_teleport_circuit([]), initial=initial)
             for m in (0, 1):
                 for n in (0, 1):
@@ -162,7 +162,7 @@ def test_c6_device_constraint_gate():
         assert validate(repaired, device) == []
         rng = np.random.default_rng(102)
         for _ in range(20):
-            start = PureState(3, random_pure_vec(rng, 3))
+            start = PureState(random_pure_vec(rng, 3))
             before = run(bad, initial=start).amps
             after = run(repaired, initial=start).amps
             assert phase_insensitive_overlap(before, after) >= 1 - 1e-10
@@ -179,27 +179,27 @@ def test_c7_oracle_equivalence():
                 u = matrix_of(SINGLE[int(rng.integers(len(SINGLE)))])
                 vec = random_pure_vec(rng, n)
                 expected = lift_1q(u, n, q) @ vec
-                got = apply_1q(PureState(n, vec.copy()), u, q).amps
+                got = apply_1q(PureState(vec.copy()), u, q).amps
             elif case == 1:  # pure, cnot
                 n = max(n, 2)
                 c, t = (int(x) for x in rng.choice(n, size=2, replace=False))
                 vec = random_pure_vec(rng, n)
                 expected = lift_cnot(n, c, t) @ vec
-                got = apply_cnot(PureState(n, vec.copy()), c, t).amps
+                got = apply_cnot(PureState(vec.copy()), c, t).amps
             elif case == 2:  # density, single-qubit gate
                 q = int(rng.integers(n))
                 u = matrix_of(SINGLE[int(rng.integers(len(SINGLE)))])
                 rho = random_density_mat(rng, n)
                 big = lift_1q(u, n, q)
                 expected = big @ rho @ big.conj().T
-                got = apply_1q(DensityMatrix(n, rho.copy()), u, q).mat
+                got = apply_1q(DensityMatrix(rho.copy()), u, q).mat
             elif case == 3:  # density, cnot
                 n = max(n, 2)
                 c, t = (int(x) for x in rng.choice(n, size=2, replace=False))
                 rho = random_density_mat(rng, n)
                 big = lift_cnot(n, c, t)
                 expected = big @ rho @ big.conj().T
-                got = apply_cnot(DensityMatrix(n, rho.copy()), c, t).mat
+                got = apply_cnot(DensityMatrix(rho.copy()), c, t).mat
             else:  # density, Kraus channel
                 q = int(rng.integers(n))
                 damp = rng.random() < 0.5
@@ -208,7 +208,7 @@ def test_c7_oracle_equivalence():
                 rates = (rate, 0.0) if damp else (0.0, rate)
                 rho = random_density_mat(rng, n)
                 expected = apply_channel_dense(rho, ch.ops, n, q)
-                got = decohere(DensityMatrix(n, rho.copy()), q, *rates).mat
+                got = decohere(DensityMatrix(rho.copy()), q, *rates).mat
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -226,10 +226,10 @@ def test_c8_invariant_suite():
             n = int(rng.integers(1, 5))
             circuit = random_circuit(rng, n, int(rng.integers(1, 41)))
             state = run(circuit,
-                                initial=PureState(n, random_pure_vec(rng, n)))
+                                initial=PureState(random_pure_vec(rng, n)))
             assert abs(state.norm() - 1.0) <= 1e-9
 
-            rho = DensityMatrix(n, random_density_mat(rng, n))
+            rho = DensityMatrix(random_density_mat(rng, n))
             for instr in circuit.instrs:
                 if hasattr(instr, "kind"):
                     apply_1q(rho, matrix_of(instr.kind), instr.qubit)

@@ -505,7 +505,7 @@ class TestRetarget:
             rewritten = retarget_cnots(circuit, device)
             assert validate(rewritten, device) == []
             for _ in range(20):
-                start = PureState(3, random_pure_vec(rng, 3))
+                start = PureState(random_pure_vec(rng, 3))
                 before = run(circuit, initial=start).amps
                 after = run(rewritten, initial=start).amps
                 assert phase_insensitive_overlap(before, after) >= 1 - 1e-10
@@ -525,6 +525,6 @@ class TestRetarget:
                        for i in circuit.instrs)
             return
         assert validate(rewritten, device) == []
-        start = PureState(n, random_pure_vec(rng, n))
+        start = PureState(random_pure_vec(rng, n))
         np.testing.assert_allclose(run(rewritten, initial=start).amps,
                                    run(circuit, initial=start).amps, rtol=0, atol=1e-12)

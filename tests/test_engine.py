@@ -62,16 +62,16 @@ def test_unknown_processor_rejected():
 def test_custom_initial_state_is_not_mutated():
     rng = np.random.default_rng(41)
     vec = random_pure_vec(rng, 2)
-    initial = PureState(2, vec.copy())
+    initial = PureState(vec.copy())
     run(parse(BELL_TEXT), initial=initial)
     np.testing.assert_allclose(initial.amps, vec, atol=0)
 
 
 def test_initial_state_size_must_match():
     with pytest.raises(ValueError, match="initial state"):
-        run(parse(BELL_TEXT), initial=PureState(1, np.array([1, 0])))
+        run(parse(BELL_TEXT), initial=PureState(np.array([1, 0])))
     with pytest.raises(ValueError, match="2-qubit DensityMatrix"):
-        run(parse("qubits 2\nh q0\nmeasure q0\n"), "real", initial=PureState(2, np.eye(4)[0]))
+        run(parse("qubits 2\nh q0\nmeasure q0\n"), "real", initial=PureState(np.eye(4)[0]))
 
 
 def test_initial_state_wider_than_the_engine_is_refused():
@@ -79,11 +79,11 @@ def test_initial_state_wider_than_the_engine_is_refused():
     # state is read, as a fresh register is; np.zeros leaves its pages unwritten
     wide = Circuit(17, [MeasureZ(0)])
     with pytest.raises(CapacityError, match=r"statevector engine supports 1\.\.16 qubits, got 17"):
-        run(wide, initial=PureState(17, np.zeros(1 << 17, dtype=complex)))
+        run(wide, initial=PureState(np.zeros(1 << 17, dtype=complex)))
     device = _open_device([(0.0, 0.0)] * 11)
     with pytest.raises(CapacityError, match=r"density engine supports 1\.\.10 qubits, got 11"):
         run(parse("qubits 11\nh q0\nmeasure q10\n"), "real", device,
-            initial=DensityMatrix(11, np.zeros((1 << 11, 1 << 11), dtype=complex)))
+            initial=DensityMatrix(np.zeros((1 << 11, 1 << 11), dtype=complex)))
 
 
 def test_sixteen_qubit_register_runs():
@@ -148,11 +148,11 @@ def _check_against_dense_oracle(processor, circuit, device, seed):
     ground = np.eye(1 << n, dtype=complex)[0]
     if processor == "ideal":
         start = ground if seed is None else random_pure_vec(rng, n)
-        initial = None if seed is None else PureState(n, start.copy())
+        initial = None if seed is None else PureState(start.copy())
         slot = ()
     else:
         start = np.outer(ground, ground) if seed is None else random_density_mat(rng, n)
-        initial = None if seed is None else DensityMatrix(n, start.copy())
+        initial = None if seed is None else DensityMatrix(start.copy())
         slot = [(q, ch.ops) for q, rate in enumerate(device.qubits)
                 for ch in (amplitude_damping(rate.gamma_relax), dephasing(rate.gamma_phase))]
     got = run(circuit, processor, device, initial=initial)
@@ -347,9 +347,9 @@ def test_wires_in_zero_match_the_all_active_run(processor, max_wires, data):
     n = circuit.num_qubits
     ground = np.eye(1 << n, dtype=complex)[0]
     if processor == "ideal":
-        initial, read = PureState(n, ground), (lambda s: s.amps)
+        initial, read = PureState(ground), (lambda s: s.amps)
     else:
-        initial, read = DensityMatrix(n, np.outer(ground, ground)), (lambda s: s.mat)
+        initial, read = DensityMatrix(np.outer(ground, ground)), (lambda s: s.mat)
     with engine_calls("decohere", 1) as slot:
         _check_against_dense_oracle(processor, circuit, device, None)
     noisy = sum(1 for rate in device.qubits if rate.gamma_relax or rate.gamma_phase)

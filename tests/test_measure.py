@@ -58,7 +58,7 @@ class TestProbabilities:
         amps = np.zeros(8, dtype=complex)
         amps[[1, 2]] = 0.5
         amps[[5, 6]] = -0.5
-        probs = probabilities(PureState(3, amps), [0, 1, 2])
+        probs = probabilities(PureState(amps), [0, 1, 2])
         assert probs == pytest.approx(
             {"001": 0.25, "010": 0.25, "101": 0.25, "110": 0.25}, abs=1e-12)
 
@@ -70,7 +70,7 @@ class TestProbabilities:
             measured = sorted(rng.choice(n, size=k, replace=False).tolist())
             vec = random_pure_vec(rng, n)
             expected = marginal_brute_force(np.abs(vec) ** 2, n, measured)
-            got = probabilities(PureState(n, vec), measured)
+            got = probabilities(PureState(vec), measured)
             for key, p in expected.items():
                 assert got.get(key, 0.0) == pytest.approx(p, abs=1e-12)
 
@@ -78,7 +78,7 @@ class TestProbabilities:
         rng = np.random.default_rng(52)
         rho = random_density_mat(rng, 3)
         expected = marginal_brute_force(np.real(np.diag(rho)), 3, [1])
-        got = probabilities(DensityMatrix(3, rho), [1])
+        got = probabilities(DensityMatrix(rho), [1])
         for key, p in expected.items():
             assert got.get(key, 0.0) == pytest.approx(p, abs=1e-12)
 
@@ -88,7 +88,7 @@ class TestProbabilities:
             n = int(rng.integers(1, 5))
             k = int(rng.integers(1, n + 1))
             measured = rng.choice(n, size=k, replace=False).tolist()
-            probs = probabilities(PureState(n, random_pure_vec(rng, n)), measured)
+            probs = probabilities(PureState(random_pure_vec(rng, n)), measured)
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_bad_qubit_lists(self):
@@ -106,21 +106,21 @@ class TestProbabilities:
         with pytest.raises(ValueError, match="integers"):
             probabilities(zero_state(2), [True])
         with pytest.raises(ValueError, match=r"no measurable weight on qubits \[0\]"):
-            probabilities(DensityMatrix(1, np.zeros((2, 2))), [0])
+            probabilities(DensityMatrix(np.zeros((2, 2))), [0])
         with pytest.raises(ValueError, match=r"no measurable weight on qubits \[0\]"):
-            sample(DensityMatrix(1, np.zeros((2, 2))), [0], 16, seed=0)
+            sample(DensityMatrix(np.zeros((2, 2))), [0], 16, seed=0)
         with pytest.raises(ValueError, match="integers"):
             sample(s, [1.0], 16, seed=0)
         with pytest.raises(ValueError, match="integers"):
             bloch_measure(zero_density(2), 0.0)
         with pytest.raises(ValueError, match="integers"):
             bloch_measure(s, 1.0)
-        for empty in (DensityMatrix(1, np.zeros((2, 2))), PureState(1, np.zeros(2))):
+        for empty in (DensityMatrix(np.zeros((2, 2))), PureState(np.zeros(2))):
             with pytest.raises(ValueError, match="no measurable weight on qubit 0"):
                 bloch_measure(empty, 0)
         with pytest.raises(ValueError, match="non-finite weight on qubit 0"):
-            bloch_measure(DensityMatrix(1, np.full((2, 2), np.nan)), 0)
-        with pytest.raises(TypeError, match="cannot measure SimpleNamespace"):
+            bloch_measure(DensityMatrix(np.full((2, 2), np.nan)), 0)
+        with pytest.raises(TypeError, match="expected a PureState or DensityMatrix, got SimpleNamespace"):
             probabilities(SimpleNamespace(num_qubits=1), [0])
         assert probabilities(s, [np.int64(0)]) == pytest.approx({"0": 0.5, "1": 0.5})
 
@@ -131,7 +131,7 @@ class TestProbabilities:
         amps = np.array([0.6, 0.8, bad, 0.0], dtype=complex)
         mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         mat[3, 3] = bad
-        for state in (PureState(2, amps), DensityMatrix(2, mat)):
+        for state in (PureState(amps), DensityMatrix(mat)):
             for measure in (lambda s: probabilities(s, [0, 1]),
                             lambda s: probabilities(s, [1]),
                             lambda s: sample(s, [0], 64, seed=0)):
@@ -156,7 +156,7 @@ class TestProbabilities:
         # |01>: q0=0, q1=1 -> key "01" regardless of the order passed in
         amps = np.zeros(4, dtype=complex)
         amps[1] = 1.0
-        s = PureState(2, amps)
+        s = PureState(amps)
         assert probabilities(s, [1, 0]) == pytest.approx({"01": 1.0})
 
 
@@ -190,7 +190,7 @@ class TestSample:
         # is checked in
         rng = np.random.default_rng(54)
         vec = random_pure_vec(rng, 3)
-        state = PureState(3, vec)
+        state = PureState(vec)
         shots = 65536
         hist = sample(state, [0, 1, 2], shots, seed=55)
         for key, p in probabilities(state, [0, 1, 2]).items():
@@ -217,10 +217,10 @@ class TestSample:
             mat = random_density_mat(rng, n) * np.sqrt(np.outer(shrink, shrink))
             if data.draw(st.booleans()):
                 mat[-1, -1] = -1e-16  # a rounding-noise population, clipped to 0
-            state = DensityMatrix(n, mat / np.trace(mat))
+            state = DensityMatrix(mat / np.trace(mat))
         else:
             vec = random_pure_vec(rng, n) * np.sqrt(shrink)
-            state = PureState(n, vec / np.linalg.norm(vec))
+            state = PureState(vec / np.linalg.norm(vec))
         measured = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
         hist = sample(state, measured, shots, seed)
         assert hist == sample_by_keys(state, measured, shots, seed)
@@ -236,10 +236,10 @@ class TestSample:
             shrink[0] = 1.0
             if density:
                 mat = random_density_mat(rng, n) * np.sqrt(np.outer(shrink, shrink))
-                state = DensityMatrix(n, mat / np.trace(mat))
+                state = DensityMatrix(mat / np.trace(mat))
             else:
                 vec = random_pure_vec(rng, n) * np.sqrt(shrink)
-                state = PureState(n, vec / np.linalg.norm(vec))
+                state = PureState(vec / np.linalg.norm(vec))
             for measured in (list(range(n)), list(rng.permutation(n)[:rng.integers(1, n + 1)])):
                 probs = probabilities(state, measured)
                 expected = probabilities_by_format(state, measured)
@@ -295,8 +295,8 @@ class TestSample:
     def test_maps_come_in_key_order_and_serialize_as_built(self, data, density, seed, shots):
         n = data.draw(st.integers(1, 4 if density else 8))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        state = (DensityMatrix(n, random_density_mat(rng, n)) if density
-                 else PureState(n, random_pure_vec(rng, n)))
+        state = (DensityMatrix(random_density_mat(rng, n)) if density
+                 else PureState(random_pure_vec(rng, n)))
         measured = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
         probs = probabilities(state, measured)
         hist = sample(state, measured, shots, seed)
@@ -346,7 +346,7 @@ class TestBlochMeasure:
     def test_pure_states_live_on_the_sphere(self):
         rng = np.random.default_rng(56)
         for _ in range(50):
-            s = PureState(1, random_pure_vec(rng, 1))
+            s = PureState(random_pure_vec(rng, 1))
             b = bloch_measure(s, 0)
             assert b.purity_norm == pytest.approx(1.0, abs=1e-9)
             # direction angles reproduce the vector
@@ -362,7 +362,7 @@ class TestBlochMeasure:
         assert bloch_measure(minus, 0).x == pytest.approx(-1.0, abs=1e-9)
 
     def test_mixed_state_reports_direction_with_shrunk_radius(self):
-        rho = DensityMatrix(1, np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex))
+        rho = DensityMatrix(np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex))
         b = bloch_measure(rho, 0)
         assert b.purity_norm == pytest.approx(math.sqrt(0.2 ** 2 + 0.6 ** 2), abs=1e-12)
         assert b.z / b.purity_norm == pytest.approx(math.cos(b.theta), abs=1e-12)

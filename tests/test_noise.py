@@ -57,35 +57,35 @@ def toy_device(gamma_relax, gamma_phase=None, targets=(), tau=1e-7):
 
 class TestChannels:
     def test_zero_damping_is_identity(self):
-        rho = DensityMatrix(1, PLUS_RHO.copy())
+        rho = DensityMatrix(PLUS_RHO.copy())
         decohere(rho, 0, 0.0, 0.0)
         np.testing.assert_allclose(rho.mat, PLUS_RHO, atol=1e-12)
 
     def test_full_damping_relaxes_excited_state(self):
-        rho = DensityMatrix(1, np.diag([0.0, 1.0]).astype(complex))
+        rho = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
         decohere(rho, 0, 1.0, 0.0)
         np.testing.assert_allclose(rho.mat, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_partial_damping_on_plus(self):
         # 2x2 oracle: K0 rho K0† + K1 rho K1† computed by hand
         gamma = 0.1
-        rho = DensityMatrix(1, PLUS_RHO.copy())
+        rho = DensityMatrix(PLUS_RHO.copy())
         decohere(rho, 0, gamma, 0.0)
         assert rho.mat[0, 0].real == pytest.approx(0.55, abs=1e-12)
         assert abs(rho.mat[0, 1]) == pytest.approx(np.sqrt(0.9) / 2, abs=1e-12)
 
     def test_zero_dephasing_is_identity(self):
-        rho = DensityMatrix(1, PLUS_RHO.copy())
+        rho = DensityMatrix(PLUS_RHO.copy())
         decohere(rho, 0, 0.0, 0.0)
         np.testing.assert_allclose(rho.mat, PLUS_RHO, atol=1e-12)
 
     def test_half_dephasing_kills_coherence(self):
-        rho = DensityMatrix(1, PLUS_RHO.copy())
+        rho = DensityMatrix(PLUS_RHO.copy())
         decohere(rho, 0, 0.0, 0.5)
         np.testing.assert_allclose(rho.mat, np.eye(2) / 2, atol=1e-12)
 
     def test_quarter_dephasing_scales_coherence(self):
-        rho = DensityMatrix(1, PLUS_RHO.copy())
+        rho = DensityMatrix(PLUS_RHO.copy())
         decohere(rho, 0, 0.0, 0.25)
         assert rho.mat[0, 1].real == pytest.approx(0.25, abs=1e-12)
         np.testing.assert_allclose(np.diag(rho.mat).real, [0.5, 0.5], atol=1e-12)
@@ -133,7 +133,7 @@ class TestApplyChannel:
             rates = (rate, 0.0) if damp else (0.0, rate)
             rho = random_density_mat(rng, n)
             expected = apply_channel_dense(rho, ch.ops, n, q)
-            got = decohere(DensityMatrix(n, rho.copy()), q, *rates)
+            got = decohere(DensityMatrix(rho.copy()), q, *rates)
             np.testing.assert_allclose(got.mat, expected, atol=1e-12)
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -147,7 +147,7 @@ class TestApplyChannel:
         expected = apply_channel_dense(
             apply_channel_dense(rho, amplitude_damping(gamma).ops, n, q),
             dephasing(lam).ops, n, q)
-        got = decohere(DensityMatrix(n, rho.copy()), q, gamma, lam).mat
+        got = decohere(DensityMatrix(rho.copy()), q, gamma, lam).mat
         np.testing.assert_allclose(got, expected, atol=1e-12)
         assert np.array_equal(got, got.conj().T)
 
@@ -158,12 +158,12 @@ class TestApplyChannel:
         n = data.draw(st.integers(1, 4), label="n")
         q = data.draw(st.integers(0, n - 1), label="q")
         rho = random_density_mat(np.random.default_rng(seed), n)
-        one = decohere(DensityMatrix(n, rho.copy()), q, gamma, lam, slots=1).mat
+        one = decohere(DensityMatrix(rho.copy()), q, gamma, lam, slots=1).mat
         assert np.array_equal(one, single_slot(rho, n, q, gamma, lam))
         stepped = rho
         for _ in range(slots):
             stepped = single_slot(stepped, n, q, gamma, lam)
-        got = decohere(DensityMatrix(n, rho.copy()), q, gamma, lam, slots=slots).mat
+        got = decohere(DensityMatrix(rho.copy()), q, gamma, lam, slots=slots).mat
         np.testing.assert_allclose(got, stepped, rtol=0, atol=1e-12)
 
     def test_index_out_of_range(self):
@@ -172,6 +172,24 @@ class TestApplyChannel:
         for bad in (0, -1, 2.0, True):
             with pytest.raises(ValueError, match="slots"):
                 decohere(zero_density(1), 0, 0.1, 0.0, slots=bad)
+
+    def test_refuses_a_pure_state(self):
+        with pytest.raises(TypeError, match="decohere needs a DensityMatrix, got PureState"):
+            decohere(zero_state(1), 0, 0.1, 0.0)
+
+    @pytest.mark.parametrize("gamma, lam, message", [
+        (2.0, 0.0, r"gamma=2\.0 outside \[0, 1\]"),
+        (-0.5, 0.0, r"gamma=-0\.5 outside \[0, 1\]"),
+        (math.nan, 0.0, r"gamma=nan outside \[0, 1\]"),
+        (0.1, 1.5, r"lambda=1\.5 outside \[0, 1\]"),
+        (0.1, -0.5, r"lambda=-0\.5 outside \[0, 1\]"),
+        (0.1, math.nan, r"lambda=nan outside \[0, 1\]"),
+    ])
+    @pytest.mark.parametrize("slots", [1, 3])
+    def test_refuses_a_rate_outside_unit_interval(self, gamma, lam, message, slots):
+        # the rule and messages amplitude_damping and dephasing already apply
+        with pytest.raises(ValueError, match=message):
+            decohere(zero_density(1), 0, gamma, lam, slots=slots)
 
 
 class TestEvolveNoisy:
@@ -275,7 +293,7 @@ class TestEvolveNoisy:
 
     def test_damping_fixed_point_is_ground_state(self):
         rng = np.random.default_rng(34)
-        rho = DensityMatrix(1, random_density_mat(rng, 1))
+        rho = DensityMatrix(random_density_mat(rng, 1))
         excited = rho.mat[1, 1].real
         for _ in range(150):
             decohere(rho, 0, 0.2, 0.0)

@@ -109,7 +109,7 @@ class TestAlgebraicTeleport:
 
     def test_input_must_be_a_normalized_qubit(self):
         with pytest.raises(ValueError, match="expected 1"):
-            teleport_algebraic(PureState(1, [1.0, 1.0]), BellIndex(1, 1), BellIndex(0, 0))
+            teleport_algebraic(PureState([1.0, 1.0]), BellIndex(1, 1), BellIndex(0, 0))
         with pytest.raises(ValueError, match="one qubit"):
             teleport_algebraic(bell_state(BellIndex(0, 0)), BellIndex(1, 1), BellIndex(0, 0))
         with pytest.raises(ValueError, match="PureState"):
@@ -181,7 +181,7 @@ class TestTeleportCircuit:
         table = circuit_correction_table()
         for _ in range(25):
             a, b = random_pure_vec(rng, 1)
-            initial = PureState(3, np.kron([a, b], [1, 0, 0, 0]))
+            initial = PureState(np.kron([a, b], [1, 0, 0, 0]))
             state = run(build_teleport_circuit([]), initial=initial)
             expected = np.zeros(8, dtype=complex)
             for m in (0, 1):
@@ -208,7 +208,7 @@ class TestTeleportCircuit:
         table = circuit_correction_table()
         for _ in range(100):
             a, b = random_pure_vec(rng, 1)
-            initial = PureState(3, np.kron([a, b], [1, 0, 0, 0]))
+            initial = PureState(np.kron([a, b], [1, 0, 0, 0]))
             state = run(build_teleport_circuit([]), initial=initial)
             for m in (0, 1):
                 for n in (0, 1):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qsim.errors import CapacityError
 from qsim.gates import GateKind, matrix_of
+from qsim.measure import bloch_measure, probabilities, sample
 from qsim.noise import decohere
 from qsim.states import (
     DensityMatrix,
@@ -63,10 +64,29 @@ class TestConstruction:
             zero_density(n)
 
     def test_buffer_must_fit_the_register(self):
-        with pytest.raises(ValueError, match=r"amplitude vector must have length 2\^2"):
-            PureState(2, np.zeros(3))
-        with pytest.raises(ValueError, match="matrix must be 2x2"):
-            DensityMatrix(1, np.zeros(4))
+        # the size is read from the buffer, so a shape that is not (2^n,) or
+        # (2^n, 2^n) is the one refusal; a 0-d buffer reaches it as shape (1,)
+        for kind, axes, shapes in ((PureState, 1, [(0,), (3,), (2, 2)]),
+                                   (DensityMatrix, 2, [(), (4,), (2, 4), (3, 3)])):
+            for shape in shapes:
+                with pytest.raises(ValueError, match=rf"buffer of shape \(.*\) is not "
+                                                     rf"\(2\^n,\) \* {axes}"):
+                    kind(np.zeros(shape))
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    def test_size_is_read_from_the_buffer(self, n, seed):
+        rng = np.random.default_rng(seed)
+        psi, rho = PureState(random_pure_vec(rng, n)), DensityMatrix(random_density_mat(rng, n))
+        for state in (psi, rho):
+            assert state.num_qubits == n
+            assert state.copy().num_qubits == n
+            assert embed(state, range(n), range(n + 1)).num_qubits == n + 1
+        if n:
+            assert psi.to_density().num_qubits == n
+        else:
+            with pytest.raises(CapacityError):
+                psi.to_density()
 
     def test_to_density_capacity(self):
         assert zero_state(10).to_density().mat.shape == (1 << 10, 1 << 10)
@@ -88,9 +108,9 @@ class TestConstruction:
         old = [buffer_index(i) for i in range(16)]
         expected_vec = [0 if a is None else vec[a] for a in old]
         expected_rho = [[0 if None in (a, b) else rho[a, b] for b in old] for a in old]
-        np.testing.assert_array_equal(embed(PureState(k, vec), wires, range(4)).amps,
+        np.testing.assert_array_equal(embed(PureState(vec), wires, range(4)).amps,
                                       expected_vec)
-        np.testing.assert_array_equal(embed(DensityMatrix(k, rho), wires, range(4)).mat,
+        np.testing.assert_array_equal(embed(DensityMatrix(rho), wires, range(4)).mat,
                                       expected_rho)
 
     @pytest.mark.parametrize("wires, new_wires", [([5], [0, 1]), ([1, 0], [0, 1]), ([0], [0])])
@@ -104,6 +124,26 @@ class TestConstruction:
         for length in (1, 3, 6, 1 << 17):
             with pytest.raises(CapacityError, match=r"2\^n with 1 <= n <= 16"):
                 PureState.from_amplitudes([1.0] + [0.0] * (length - 1))
+
+
+NON_STATES = [None, [1, 0], 2, SimpleNamespace()]
+TAKES_A_STATE = {
+    "apply_1q": lambda s: apply_1q(s, H, 0),
+    "apply_cnot": lambda s: apply_cnot(s, 0, 1),
+    "reduced_density_1q": lambda s: reduced_density_1q(s, 0),
+    "probabilities": lambda s: probabilities(s, [0]),
+    "sample": lambda s: sample(s, [0], 16, seed=0),
+    "bloch_measure": lambda s: bloch_measure(s, 0),
+    "decohere": lambda s: decohere(s, 0, 0.1, 0.1),
+}
+
+
+@pytest.mark.parametrize("call", list(TAKES_A_STATE.values()), ids=list(TAKES_A_STATE))
+@pytest.mark.parametrize("bad", NON_STATES, ids=lambda bad: type(bad).__name__)
+def test_a_non_state_is_a_type_error_naming_its_type(call, bad):
+    # refused by the one kind check, before any attribute is read
+    with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
+        call(bad)
 
 
 class TestApply1q:
@@ -134,9 +174,9 @@ class TestApply1q:
             apply_1q(zero_state(2), H, True)
         with pytest.raises(ValueError, match="must be 2x2"):
             apply_1q(zero_state(2), np.eye(4), 0)
-        with pytest.raises(TypeError, match="cannot apply gates to SimpleNamespace"):
+        with pytest.raises(TypeError, match="expected a PureState or DensityMatrix, got SimpleNamespace"):
             apply_1q(SimpleNamespace(num_qubits=2), H, 0)
-        with pytest.raises(TypeError, match="cannot reduce SimpleNamespace"):
+        with pytest.raises(TypeError, match="expected a PureState or DensityMatrix, got SimpleNamespace"):
             reduced_density_1q(SimpleNamespace(num_qubits=2), 0)
         assert apply_1q(zero_state(2), H, np.int64(1)).amps[1] == pytest.approx(SQRT1_2)
 
@@ -151,7 +191,7 @@ class TestApply1q:
                       random_phase_unitary(rng, anti=False),
                       random_phase_unitary(rng, anti=True), ID):
                 expected = lift_1q(u, n, q) @ vec
-                got = apply_1q(PureState(n, vec.copy()), u, q)
+                got = apply_1q(PureState(vec.copy()), u, q)
                 np.testing.assert_allclose(got.amps, expected, atol=1e-12)
             assert np.array_equal(got.amps, vec)  # id leaves the buffer alone
 
@@ -167,7 +207,7 @@ class TestApply1q:
                       random_phase_unitary(rng, anti=True), ID):
                 big = lift_1q(u, n, q)
                 expected = big @ rho @ big.conj().T
-                got = apply_1q(DensityMatrix(n, rho.copy()), u, q)
+                got = apply_1q(DensityMatrix(rho.copy()), u, q)
                 np.testing.assert_allclose(got.mat, expected, atol=1e-12)
             assert np.array_equal(got.mat, rho)  # id leaves the buffer alone
 
@@ -214,10 +254,10 @@ def test_every_kernel_matches_the_dense_oracle_on_every_wire(data):
     for q in range(n):
         big = lift_1q(u, n, q)
         if density:
-            got = apply_1q(DensityMatrix(n, start.copy()), u, q).mat
+            got = apply_1q(DensityMatrix(start.copy()), u, q).mat
             expected = big @ start @ big.conj().T
         else:
-            got = apply_1q(PureState(n, start.copy()), u, q).amps
+            got = apply_1q(PureState(start.copy()), u, q).amps
             expected = big @ start
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         if shape == "identity":
@@ -228,7 +268,7 @@ class TestApplyCnot:
     def test_flips_target_when_control_set(self):
         vec = np.zeros(4, dtype=complex)
         vec[2] = 1.0  # |10>
-        s = apply_cnot(PureState(2, vec), 0, 1)
+        s = apply_cnot(PureState(vec), 0, 1)
         np.testing.assert_allclose(s.amps, [0, 0, 0, 1], atol=1e-15)  # |11>
 
     def test_entangles_plus_zero_into_bell(self):
@@ -246,7 +286,7 @@ class TestApplyCnot:
             c, t = rng.choice(n, size=2, replace=False)
             vec = random_pure_vec(rng, n)
             expected = lift_cnot(n, int(c), int(t)) @ vec
-            got = apply_cnot(PureState(n, vec.copy()), int(c), int(t))
+            got = apply_cnot(PureState(vec.copy()), int(c), int(t))
             np.testing.assert_allclose(got.amps, expected, atol=1e-12)
 
     def test_matches_permutation_oracle_on_density(self):
@@ -257,7 +297,7 @@ class TestApplyCnot:
             rho = random_density_mat(rng, n)
             big = lift_cnot(n, int(c), int(t))
             expected = big @ rho @ big.conj().T
-            got = apply_cnot(DensityMatrix(n, rho.copy()), int(c), int(t))
+            got = apply_cnot(DensityMatrix(rho.copy()), int(c), int(t))
             np.testing.assert_allclose(got.mat, expected, atol=1e-12)
 
 
@@ -274,12 +314,12 @@ class TestApplyCnot:
                     continue
                 expected = vec.copy()
                 cnot_swap_by_axes(expected.reshape((2,) * n), c, t)
-                got = apply_cnot(PureState(n, vec.copy()), c, t)
+                got = apply_cnot(PureState(vec.copy()), c, t)
                 assert np.array_equal(got.amps, expected)
                 expected = rho.copy()
                 for off in (0, n):
                     cnot_swap_by_axes(expected.reshape((2,) * (2 * n)), off + c, off + t)
-                got = apply_cnot(DensityMatrix(n, rho.copy()), c, t)
+                got = apply_cnot(DensityMatrix(rho.copy()), c, t)
                 assert np.array_equal(got.mat, expected)
 
 
@@ -298,14 +338,14 @@ def test_density_gates_are_pure_gates_on_the_doubled_register(data):
     if shape != "dense":  # the kernels that skip the zero entries
         u *= np.eye(2) if shape == "diagonal" else 1 - np.eye(2)
     q = data.draw(st.integers(0, n - 1), label="q")
-    got = apply_1q(DensityMatrix(n, rho.copy()), u, q)
-    doubled = apply_1q(apply_1q(PureState(2 * n, rho.reshape(-1).copy()), u, q),
+    got = apply_1q(DensityMatrix(rho.copy()), u, q)
+    doubled = apply_1q(apply_1q(PureState(rho.reshape(-1).copy()), u, q),
                        u.conj(), n + q)
     assert np.array_equal(got.mat.reshape(-1), doubled.amps)
     if n >= 2:
         c, t = data.draw(st.permutations(range(n)), label="c, t")[:2]
-        got = apply_cnot(DensityMatrix(n, rho.copy()), c, t)
-        doubled = apply_cnot(apply_cnot(PureState(2 * n, rho.reshape(-1).copy()), c, t),
+        got = apply_cnot(DensityMatrix(rho.copy()), c, t)
+        doubled = apply_cnot(apply_cnot(PureState(rho.reshape(-1).copy()), c, t),
                              n + c, n + t)
         assert np.array_equal(got.mat.reshape(-1), doubled.amps)
 
@@ -331,7 +371,7 @@ class TestPartialTrace:
             vec = random_pure_vec(rng, n)
             rho = np.outer(vec, vec.conj())
             expected = reduced_1q_brute_force(rho, n, keep)
-            got = reduced_density_1q(DensityMatrix(n, rho), keep)
+            got = reduced_density_1q(DensityMatrix(rho), keep)
             np.testing.assert_allclose(got, expected, atol=1e-12)
             np.testing.assert_allclose(np.trace(got).real, 1.0, atol=1e-10)
 
@@ -340,7 +380,7 @@ class TestPartialTrace:
         for _ in range(10):
             rho_a = random_density_mat(rng, 1)
             rho_b = random_density_mat(rng, 1)
-            joint = DensityMatrix(2, np.kron(rho_a, rho_b))
+            joint = DensityMatrix(np.kron(rho_a, rho_b))
             np.testing.assert_allclose(
                 reduced_density_1q(joint, 0), rho_a, atol=1e-12)
             np.testing.assert_allclose(
@@ -349,8 +389,8 @@ class TestPartialTrace:
     def test_reduced_density_agrees_between_state_kinds(self):
         rng = np.random.default_rng(17)
         vec = random_pure_vec(rng, 3)
-        pure = PureState(3, vec.copy())
-        dense = DensityMatrix(3, np.outer(vec, vec.conj()))
+        pure = PureState(vec.copy())
+        dense = DensityMatrix(np.outer(vec, vec.conj()))
         for q in range(3):
             np.testing.assert_allclose(
                 reduced_density_1q(pure, q), reduced_density_1q(dense, q), atol=1e-12)
@@ -389,7 +429,7 @@ class TestSeparability:
                 vec = np.kron(a, b)
             else:
                 vec = random_pure_vec(rng, 2)
-            state = PureState(2, vec)
+            state = PureState(vec)
             oracle_says = separable_by_svd(vec)
             assert is_separable(state, tol=1e-8) == oracle_says
             separable += oracle_says
@@ -405,7 +445,7 @@ class TestNormPreservation:
         kinds = list(GateKind)
         for _ in range(50):
             n = int(rng.integers(1, 5))
-            s = PureState(n, random_pure_vec(rng, n))
+            s = PureState(random_pure_vec(rng, n))
             for _ in range(30):
                 if n >= 2 and rng.random() < 0.3:
                     c, t = rng.choice(n, size=2, replace=False)
