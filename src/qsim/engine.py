@@ -101,7 +101,8 @@ from .circuit import (
 from .errors import ValidationError
 from .gates import ENTRIES, GateKind
 from .noise import NoiseConfig, decohere
-from .states import DensityMatrix, PureState, _apply_1q, _apply_cnot, check_capacity, embed
+from .states import (DensityMatrix, PureState, _apply_1q, _apply_cnot, _expect,
+                     check_capacity, embed)
 
 _IDENTITY = (1, 0, 0, 1)
 _PAULI_X = (0, 1, 1, 0)
@@ -143,11 +144,12 @@ def run(
         noise: the real processor's slot, in place of the device's own:
             its rates are those of the config's device (and none for
             enabled=False, the ideal limit); `device` still validates.
-        initial: starting state, copied and not mutated; a PureState on
-            the ideal processor, a DensityMatrix on the real one.
-            |0...0> if omitted, held as only the wires that leave |0>.
-            Either way `check_capacity` first refuses a register wider
-            than the engine holds.
+        initial: starting state, copied and not mutated; an n-wire
+            PureState on the ideal processor, DensityMatrix on the real
+            one (`states._expect`: TypeError for another kind, ValueError
+            for another size). |0...0> if omitted, held as only the wires
+            that leave |0>. Either way `check_capacity` first refuses a
+            register wider than the engine holds.
     """
     if processor == "real" and device is None:
         device = default_device()
@@ -168,8 +170,7 @@ def _evolve(circuit, processor, device, noise=None, initial=None):
         state = kind(np.ones((1, 1) if real else 1))
         pos = {}  # active wire -> its buffer position
     else:
-        if not isinstance(initial, kind) or initial.num_qubits != n:
-            raise ValueError(f"initial state must be a {n}-qubit {kind.__name__}")
+        _expect(initial, kind, n)
         state = initial.copy()
         pos = {q: q for q in range(n)}
     rates = (noise or NoiseConfig(device)).slot(n) if real else {}

@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import DeviceModel, _is_int
 from .errors import DeviceError
-from .states import DensityMatrix, _check_qubit
+from .states import DensityMatrix, _check_qubit, _expect
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -82,11 +82,11 @@ def decohere(rho: DensityMatrix, q: int, gamma: float, lam: float,
 
     k slots are one slot with rates 1-(1-gamma)^k and (1-(1-2 lam)^k)/2;
     a single slot uses gamma and lam as given. A state that is not a
-    DensityMatrix and a rate outside [0, 1] are refused.
+    DensityMatrix is refused by `states._expect` (TypeError), and a rate
+    outside [0, 1] by `_check_rate` (ValueError).
     """
+    _expect(rho, DensityMatrix)
     _check_qubit(rho, q)
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError(f"decohere needs a DensityMatrix, got {type(rho).__name__}")
     _check_rate("gamma", gamma)
     _check_rate("lambda", lam)
     if not _is_int(slots) or slots < 1:
@@ -118,7 +118,7 @@ class NoiseConfig:
 
     @classmethod
     def from_device(cls, device: DeviceModel, enabled: bool = True) -> "NoiseConfig":
-        """The constructor under another name, kept only for perfbench/workloads.py."""
+        """The constructor under another name, called by perfbench/workloads.py and three tests."""
         return cls(device, enabled)
 
     def slot(self, num_qubits: int) -> dict[int, tuple[float, float]]:

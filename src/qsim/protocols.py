@@ -18,15 +18,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Cnot, DeviceModel, Gate1, MeasureZ, _is_int, default_device, validate
-from .engine import PROCESSORS, _evolve, run
+from .circuit import (PROCESSORS, Circuit, Cnot, DeviceModel, Gate1, MeasureZ, _is_int,
+                      default_device, validate)
+from .engine import _evolve, run
 from .errors import ValidationError
-from .gates import ENTRIES, GateKind, matrix_of
+from .gates import _SQRT1_2, GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
 from .noise import NoiseConfig, decohere
-from .states import PureState
-
-_SQRT1_2 = ENTRIES[GateKind.H][0].real
+from .states import PureState, _expect
 
 
 class BellIndex(NamedTuple):
@@ -94,14 +93,8 @@ def teleport_algebraic(
     input up to a global phase. The input must be a normalized one-qubit
     state.
     """
-    if not isinstance(input_state, PureState):
-        raise ValueError(f"teleport input must be a PureState, got {type(input_state).__name__}")
-    if input_state.num_qubits != 1:
-        raise ValueError(f"teleport input must be one qubit, got {input_state.num_qubits}")
-    psi = input_state.amps
-    norm_sq = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm_sq - 1.0) > 1e-8:
-        raise ValueError(f"|a|^2 + |b|^2 = {norm_sq}, expected 1")
+    _expect(input_state, PureState, 1)
+    psi = PureState.from_amplitudes(input_state.amps).amps
     resource = bell_state(channel).amps
     joint = np.kron(psi, resource)  # wires: sender-input, sender-half, receiver
     proj = bell_state(alice_outcome).amps.conj()

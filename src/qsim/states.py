@@ -24,10 +24,12 @@ much as on wire 0. engine.run runs its gate loop under a 256-element
 buffer, which removes that step. cx swaps two quarters over the
 (pre, 2, mid, 2, post) view of its wires; when post is 2, 4 or 8, each
 run of post amplitudes is copied as one void item, so the copy's inner
-loop runs along mid. A state reads its size from its buffer, (2^n,) or
-(2^n, 2^n). `_register`, the one kind check, refuses a non-state and
-reads a density matrix as the 2n-wire register of its buffer, so both
-processors run the same gate kernels. engine.run defers
+loop runs along mid. A state is a plain class that reads its size from
+its buffer, (2^n,) or (2^n, 2^n), and compares by identity. `_register`,
+the kind check of a function that takes either kind, refuses a non-state
+and reads a density matrix as the 2n-wire register of its buffer, so both
+processors run the same gate kernels; `_expect` is the kind and size
+check of a function that takes one kind. engine.run defers
 diagonal and anti-diagonal gates and the real processor's noise slots,
 and applies them lazily. The public apply_1q and apply_cnot check their
 matrix and wires, then call the unchecked `_apply_1q` (2x2 entries as
@@ -40,15 +42,14 @@ wire labels `wires` to the superset `new_wires`, with |0> on each added
 wire: it allocates zeros and assigns the old buffer to one strided
 slice, so the bit order above holds within the buffer, among its wires.
 
-One rule bounds a register, `check_capacity`: `circuit.MAX_QUBITS` wires
-(16, the most `parse` accepts) on the statevector engine, 10 on the
-density one. A fresh register, `to_density` and engine.run's `initial`
-are refused through it.
+One rule bounds a register, `check_capacity`: an integer count of
+`circuit.MAX_QUBITS` wires (16, the most `parse` accepts) or fewer on the
+statevector engine, 10 on the density one. A fresh register,
+`from_amplitudes`, `to_density` and engine.run's `initial` are refused
+through it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,30 +67,23 @@ def _wires(buf: np.ndarray, axes: int) -> int:
     return n
 
 
-@dataclass
 class PureState:
     """Statevector over 2^n basis states (complex128), n = num_qubits read from its length."""
 
-    amps: np.ndarray
-
-    def __post_init__(self):
-        self.amps = np.ascontiguousarray(self.amps, dtype=complex)
+    def __init__(self, amps):
+        self.amps = np.ascontiguousarray(amps, dtype=complex)
         self.num_qubits = _wires(self.amps, 1)
 
     @classmethod
     def from_amplitudes(cls, amps) -> "PureState":
-        """Build a state from a raw vector of 2^n complex amplitudes,
-        which must already have unit norm."""
-        vec = np.ascontiguousarray(amps, dtype=complex)
-        n = max(int(vec.size).bit_length() - 1, 0)
-        if vec.size != 1 << n or not 1 <= n <= MAX_QUBITS:
-            raise CapacityError(
-                f"amplitude vector length must be 2^n with 1 <= n <= {MAX_QUBITS}"
-            )
-        norm = float(np.linalg.norm(vec))
+        """Build a state from a raw vector of 2^n complex amplitudes, which
+        must fit the statevector engine and already have unit norm."""
+        state = cls(amps)
+        check_capacity(cls, state.num_qubits)
+        norm = state.norm()
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"amplitudes are not normalized (norm {norm})")
-        return cls(vec)
+        return state
 
     def copy(self) -> "PureState":
         return PureState(self.amps.copy())
@@ -102,14 +96,11 @@ class PureState:
         return DensityMatrix(np.outer(self.amps, self.amps.conj()))
 
 
-@dataclass
 class DensityMatrix:
     """2^n x 2^n density operator (complex128), n = num_qubits read from its shape."""
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        self.mat = np.ascontiguousarray(self.mat, dtype=complex)
+    def __init__(self, mat):
+        self.mat = np.ascontiguousarray(mat, dtype=complex)
         self.num_qubits = _wires(self.mat, 2)
 
     def copy(self) -> "DensityMatrix":
@@ -124,7 +115,7 @@ def check_capacity(kind: type, num_qubits: int) -> None:
     `kind` (PureState or DensityMatrix) cannot run."""
     limit, engine = ((MAX_QUBITS, "statevector") if kind is PureState
                      else (MAX_DENSITY_QUBITS, "density"))
-    if not 1 <= num_qubits <= limit:
+    if not (_is_int(num_qubits) and 1 <= num_qubits <= limit):
         raise CapacityError(
             f"{engine} engine supports 1..{limit} qubits, got {num_qubits}"
         )
@@ -211,7 +202,7 @@ def _check_qubit(state, q: int) -> None:
 
 
 def _register(state) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """(flat buffer, wire count, wire offset of each gate copy); the one kind check.
+    """(flat buffer, wire count, wire offset of each gate copy); the kind check for either kind.
     rho is a 2n-wire register: U rho U† is U on wire q, then conj(U) on column wire n + q."""
     if isinstance(state, PureState):
         return state.amps, state.num_qubits, (0,)
@@ -219,6 +210,14 @@ def _register(state) -> tuple[np.ndarray, int, tuple[int, ...]]:
         n = state.num_qubits
         return state.mat.reshape(-1), 2 * n, (0, n)
     raise TypeError(f"expected a PureState or DensityMatrix, got {type(state).__name__}")
+
+
+def _expect(state, kind: type, n: int | None = None) -> None:
+    """The kind check for one kind: `state` must be a `kind`, on n wires if n is given."""
+    if not isinstance(state, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(state).__name__}")
+    if n is not None and state.num_qubits != n:
+        raise ValueError(f"expected a {n}-qubit {kind.__name__}, got {state.num_qubits} qubits")
 
 
 def embed(state, wires, new_wires):
@@ -342,9 +341,6 @@ def is_separable(state: PureState, tol: float = 1e-9) -> bool:
     factorization exactly when the determinant ad - bc of its coefficient
     matrix vanishes; `tol` absorbs floating-point noise.
     """
-    if not isinstance(state, PureState):
-        raise ValueError(f"separability needs a PureState, got {type(state).__name__}")
-    if state.num_qubits != 2:
-        raise ValueError(f"separability needs a two-qubit state, got {state.num_qubits}")
+    _expect(state, PureState, 2)
     a, b, c, d = state.amps
     return bool(abs(a * d - b * c) <= tol)

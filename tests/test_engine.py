@@ -68,13 +68,19 @@ def test_custom_initial_state_is_not_mutated():
 
 
 def test_initial_state_size_must_match():
-    with pytest.raises(ValueError, match="initial state"):
+    with pytest.raises(ValueError, match="^expected a 2-qubit PureState, got 1 qubits$"):
         run(parse(BELL_TEXT), initial=PureState(np.array([1, 0])))
-    with pytest.raises(ValueError, match="2-qubit DensityMatrix"):
+    with pytest.raises(TypeError, match="^expected a DensityMatrix, got PureState$"):
         run(parse("qubits 2\nh q0\nmeasure q0\n"), "real", initial=PureState(np.eye(4)[0]))
 
 
 def test_initial_state_wider_than_the_engine_is_refused():
+    # a size that is not an integer is refused as a 17-wire one is, on both engines
+    for size in (True, 2.0):
+        for processor, refusal in (("ideal", r"statevector engine supports 1\.\.16"),
+                                   ("real", r"density engine supports 1\.\.10")):
+            with pytest.raises(CapacityError, match=rf"^{refusal} qubits, got {size}$"):
+                run(Circuit(size, [Gate1(GateKind.H, 0), MeasureZ(0)]), processor)
     # the register is checked against the engine's cap before the initial
     # state is read, as a fresh register is; np.zeros leaves its pages unwritten
     wide = Circuit(17, [MeasureZ(0)])

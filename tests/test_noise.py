@@ -174,7 +174,7 @@ class TestApplyChannel:
                 decohere(zero_density(1), 0, 0.1, 0.0, slots=bad)
 
     def test_refuses_a_pure_state(self):
-        with pytest.raises(TypeError, match="decohere needs a DensityMatrix, got PureState"):
+        with pytest.raises(TypeError, match="^expected a DensityMatrix, got PureState$"):
             decohere(zero_state(1), 0, 0.1, 0.0)
 
     @pytest.mark.parametrize("gamma, lam, message", [

@@ -29,6 +29,7 @@ ACCEPTED = "qubits 3\nx q0\nh q1\ncx q1 q2\ncx q0 q2\nh q0\nmeasure q0\nmeasure 
 # the packaged device allows cx targets q2 only
 FORBIDDEN_CX = "qubits 3\nh q0\ncx q1 q0\nmeasure q0\n"
 MALFORMED = "qubits 3\nfoo q0\n"
+WIDE = "qubits 6\nh q0\nmeasure q0\n"  # does not fit the packaged 5-qubit device
 NO_READOUT = "qubits 1\nh q0\n"
 
 
@@ -75,10 +76,12 @@ def test_histogram_json_fields_loads_no_numpy():
 
 
 @pytest.mark.parametrize("command, text, code", [
-    ("validate", ACCEPTED, 0), ("validate", FORBIDDEN_CX, 1), ("validate", MALFORMED, 2),
+    ("validate", ACCEPTED, 0), ("validate", FORBIDDEN_CX, 1), ("validate", WIDE, 1),
+    ("validate", MALFORMED, 2),
     ("simulate", MALFORMED, 2),  # numpy loads only once the circuit has parsed
     ("simulate", NO_READOUT, 1),  # and has a measure or bloch to report
-], ids=["accepted", "forbidden-cx", "malformed", "simulate-malformed", "simulate-no-readout"])
+], ids=["accepted", "forbidden-cx", "wide-register", "malformed", "simulate-malformed",
+        "simulate-no-readout"])
 def test_validate_loads_no_numpy(tmp_path, command, text, code):
     path = tmp_path / "c.qc"
     path.write_text(text)

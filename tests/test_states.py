@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsim.circuit import parse
+from qsim.engine import run
 from qsim.errors import CapacityError
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import bloch_measure, probabilities, sample
 from qsim.noise import decohere
+from qsim.protocols import BellIndex, teleport_algebraic
 from qsim.states import (
     DensityMatrix,
     PureState,
@@ -53,12 +56,12 @@ class TestConstruction:
         np.testing.assert_allclose(s.amps[0], 1.0)
         np.testing.assert_allclose(s.amps[1:], 0.0)
 
-    @pytest.mark.parametrize("n", [0, 17, -1])
+    @pytest.mark.parametrize("n", [0, 17, -1, True, 2.0])
     def test_zero_state_capacity(self, n):
         with pytest.raises(CapacityError):
             zero_state(n)
 
-    @pytest.mark.parametrize("n", [0, 11])
+    @pytest.mark.parametrize("n", [0, 11, True, 2.0])
     def test_zero_density_capacity(self, n):
         with pytest.raises(CapacityError):
             zero_density(n)
@@ -121,8 +124,13 @@ class TestConstruction:
     def test_from_amplitudes_checks_norm(self):
         with pytest.raises(ValueError, match="not normalized"):
             PureState.from_amplitudes([1.0, 1.0])
-        for length in (1, 3, 6, 1 << 17):
-            with pytest.raises(CapacityError, match=r"2\^n with 1 <= n <= 16"):
+        # the size rule of PureState, then the capacity rule of every register
+        for length in (3, 6):
+            with pytest.raises(ValueError, match=r"buffer of shape \(.*\) is not \(2\^n,\) \* 1"):
+                PureState.from_amplitudes([1.0] + [0.0] * (length - 1))
+        for length, n in ((1, 0), (1 << 17, 17)):
+            with pytest.raises(CapacityError,
+                               match=rf"^statevector engine supports 1\.\.16 qubits, got {n}$"):
                 PureState.from_amplitudes([1.0] + [0.0] * (length - 1))
 
 
@@ -144,6 +152,39 @@ def test_a_non_state_is_a_type_error_naming_its_type(call, bad):
     # refused by the one kind check, before any attribute is read
     with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
         call(bad)
+
+
+TAKES_ONE_KIND = {  # name: (call, the kind it takes, a state of the other kind)
+    "is_separable": (is_separable, "PureState", zero_density(2)),
+    "teleport_algebraic": (lambda s: teleport_algebraic(s, BellIndex(0, 0), BellIndex(0, 0)),
+                           "PureState", zero_density(1)),
+    "run-ideal": (lambda s: run(parse("qubits 2\nh q0\nmeasure q0\n"), "ideal", initial=s),
+                  "PureState", zero_density(2)),
+    "run-real": (lambda s: run(parse("qubits 2\nh q0\nmeasure q0\n"), "real", initial=s),
+                 "DensityMatrix", zero_state(2)),
+    "decohere": (lambda s: decohere(s, 0, 0.1, 0.1), "DensityMatrix", zero_state(1)),
+}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in TAKES_ONE_KIND for bad in ("None", "SimpleNamespace", "other kind")
+    if not (name.startswith("run") and bad == "None")  # initial=None is |0...0>
+])
+def test_the_wrong_kind_is_a_type_error_naming_both(name, bad):
+    # refused by states._expect, which names the kind the function takes
+    call, kind, other = TAKES_ONE_KIND[name]
+    arg = {"None": None, "SimpleNamespace": SimpleNamespace(), "other kind": other}[bad]
+    with pytest.raises(TypeError, match=f"^expected a {kind}, got {type(arg).__name__}$"):
+        call(arg)
+
+
+@pytest.mark.parametrize("kind, buf", [(PureState, [1, 0]), (DensityMatrix, np.eye(2))],
+                         ids=["PureState", "DensityMatrix"])
+def test_a_state_compares_by_identity(kind, buf):
+    state = kind(buf)
+    assert (state == state) is True
+    assert (kind(buf) == kind(buf)) is False
+    assert (state != kind(buf)) is True
 
 
 class TestApply1q:
@@ -414,9 +455,9 @@ class TestSeparability:
 
     def test_only_two_qubit_states(self):
         for n in (1, 3):
-            with pytest.raises(ValueError, match="two-qubit"):
+            with pytest.raises(ValueError, match=f"^expected a 2-qubit PureState, got {n} qubits$"):
                 is_separable(zero_state(n))
-        with pytest.raises(ValueError, match="PureState"):
+        with pytest.raises(TypeError, match="^expected a PureState, got DensityMatrix$"):
             is_separable(zero_density(2))
 
     def test_agrees_with_product_fit_oracle_on_1000_states(self):
