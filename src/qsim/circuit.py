@@ -29,12 +29,12 @@ import codecs
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+import os
 from enum import Enum
 from functools import cache, partial
 from importlib import resources
 from itertools import permutations
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DeviceError, ParseError, UntranspilableError
 from .gates import GateKind
@@ -50,44 +50,85 @@ def _is_int(x) -> bool:
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
-@dataclass(frozen=True)
-class Gate1:
+class _Record:
+    """Base of the records that check their fields when built, and of
+    the instructions, which `parse` shares from its per-size table. The
+    fields are the class's `__slots__`, in constructor order, set once by
+    `_set`; assigning to one raises AttributeError, and a copy or a pickle
+    is rebuilt through the constructor. A record equals, and hashes
+    with, a record of its own class whose fields are equal."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), *self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Gate1(_Record):
     """A single-qubit gate on one wire."""
 
-    kind: GateKind
-    qubit: int
+    __slots__ = ("kind", "qubit")
+
+    def __init__(self, kind: GateKind, qubit: int):
+        self._set(kind, qubit)
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return (self.qubit,)
 
 
-@dataclass(frozen=True)
-class Cnot:
-    control: int
-    target: int
+class Cnot(_Record):
+    __slots__ = ("control", "target")
 
-    def __post_init__(self):
-        if self.control == self.target:
+    def __init__(self, control: int, target: int):
+        if control == target:
             raise ValueError("cnot control and target must differ")
+        self._set(control, target)
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return (self.control, self.target)
 
 
-@dataclass(frozen=True)
-class MeasureZ:
-    qubit: int
+class MeasureZ(_Record):
+    __slots__ = ("qubit",)
+
+    def __init__(self, qubit: int):
+        self._set(qubit)
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return (self.qubit,)
 
 
-@dataclass(frozen=True)
-class BlochMeasure:
-    qubit: int
+class BlochMeasure(_Record):
+    __slots__ = ("qubit",)
+
+    def __init__(self, qubit: int):
+        self._set(qubit)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -97,19 +138,30 @@ class BlochMeasure:
 Instruction = Union[Gate1, Cnot, MeasureZ, BlochMeasure]
 
 
-@dataclass
 class Circuit:
     """Ordered instruction list over a fixed-size register.
 
     `source_lines`, filled by the parser, maps each instruction to its
-    line in the source text; it is diagnostic only and excluded from
-    structural equality.
+    line in the source text; it is diagnostic only and, like `name`,
+    excluded from structural equality.
     """
 
-    num_qubits: int
-    instrs: list[Instruction] = field(default_factory=list)
-    name: str = field(default="", compare=False)
-    source_lines: list[int] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("num_qubits", "instrs", "name", "source_lines")
+
+    def __init__(self, num_qubits: int, instrs: list[Instruction] | None = None,
+                 name: str = "", source_lines: list[int] | None = None):
+        self.num_qubits = num_qubits
+        self.instrs = [] if instrs is None else instrs
+        self.name = name
+        self.source_lines = source_lines
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.num_qubits, self.instrs) == (other.num_qubits, other.instrs)
+
+    def __repr__(self):
+        return f"Circuit(num_qubits={self.num_qubits!r}, instrs={self.instrs!r}, name={self.name!r})"
 
     def measured_qubits(self) -> list[int]:
         """Wires with a computational-basis measurement, ascending."""
@@ -120,16 +172,14 @@ class Circuit:
         return sorted(i.qubit for i in self.instrs if isinstance(i, BlochMeasure))
 
 
-@dataclass(frozen=True)
-class QubitNoise:
+class QubitNoise(NamedTuple):
     """Per-slot decoherence rates of one device qubit."""
 
     gamma_relax: float
     gamma_phase: float
 
 
-@dataclass(frozen=True)
-class DeviceModel:
+class DeviceModel(_Record):
     """Executable-gate constraints and noise rates of one device.
 
     `allowed_cnot_targets` encodes the hardware rule that CNOT may only
@@ -138,13 +188,11 @@ class DeviceModel:
     elapsed time.
     """
 
-    name: str
-    num_qubits: int
-    allowed_cnot_targets: frozenset[int]
-    gate_time_tau_s: float
-    qubits: tuple[QubitNoise, ...]
+    __slots__ = ("name", "num_qubits", "allowed_cnot_targets", "gate_time_tau_s", "qubits")
 
-    def __post_init__(self):
+    def __init__(self, name: str, num_qubits: int, allowed_cnot_targets: frozenset[int],
+                 gate_time_tau_s: float, qubits: tuple[QubitNoise, ...]):
+        self._set(name, num_qubits, allowed_cnot_targets, gate_time_tau_s, qubits)
         try:
             self.name.encode()  # reports print the name; a lone surrogate cannot be written
         except UnicodeEncodeError as exc:
@@ -198,7 +246,11 @@ def _json_number(value, field: str, kind: type = float):
 
 def read_utf8(path) -> str:
     """A file's bytes decoded as UTF-8, one leading byte-order mark
-    dropped; bytes that are not UTF-8 raise UnicodeDecodeError."""
+    dropped; bytes that are not UTF-8 raise UnicodeDecodeError. `path` is
+    a str or os.PathLike, else TypeError: open() would take an integer as
+    a file descriptor, and close it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError(f"path must be a str or os.PathLike, got {type(path).__name__}")
     with open(path, "rb") as fh:
         return fh.read().removeprefix(codecs.BOM_UTF8).decode("utf-8")
 
@@ -234,8 +286,7 @@ class ViolationCode(Enum):
     NO_MEASUREMENT = "NoMeasurement"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One validator finding; `index` points into Circuit.instrs, or one
     past the end for circuit-level findings."""
 

@@ -23,7 +23,9 @@ out.
 
 Each subcommand imports only what it runs: argument handling, `validate`
 and the parse step of every subcommand need `circuit`, `gates` and
-`errors` alone, so a `validate` process never loads numpy. `simulate`
+`errors` alone, so a `validate` process never loads numpy. Nor does it
+load `inspect`: qsim's records are `NamedTuple`s and slotted classes,
+and no module imports `dataclasses`. `simulate`
 loads the engine and `measure` (and with them numpy) only once the
 circuit has parsed and passed its one validator pass, and only
 `teleport` and `sweep` load `protocols`.
@@ -41,7 +43,6 @@ found it, and importing this module does not touch it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -207,7 +208,7 @@ def simulate_text(circuit: Circuit, device: DeviceModel, processor: str, fmt: st
             **histogram_json_fields(probs, hist),
         }
         if bloch:
-            artifact["bloch"] = {key: dataclasses.asdict(b) for key, b in sorted(bloch.items())}
+            artifact["bloch"] = {key: b._asdict() for key, b in sorted(bloch.items())}
         return json.dumps(artifact, indent=2) + "\n"
     if fmt == "csv":
         return _histogram_csv(probs, hist)

@@ -64,9 +64,12 @@ ENTRIES: dict[GateKind, tuple[complex, complex, complex, complex]] = {
 
 @cache
 def matrix_of(gate: GateKind) -> np.ndarray:
-    """Return the 2x2 matrix of a single-qubit gate (read-only array)."""
+    """Return the 2x2 matrix of a single-qubit gate (read-only array);
+    a value that is no GateKind, or its mnemonic, is a ValueError."""
     import numpy as np
 
+    if gate not in ENTRIES:
+        raise ValueError(f"unknown gate kind {gate!r}")
     a, b, c, d = ENTRIES[gate]
     m = np.array([[a, b], [c, d]])
     m.setflags(write=False)

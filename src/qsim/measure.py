@@ -18,8 +18,7 @@ seed) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,18 +32,16 @@ RNG_ALGORITHM = "pcg64"
 _PROB_FLOOR = 1e-15
 
 
-@dataclass
-class Histogram:
+class Histogram(NamedTuple):
     """Counts of one shot run, keys fixed-width over the measured qubits."""
 
     shots: int
     counts: dict[str, int]
     seed: int
-    rng: ClassVar[str] = RNG_ALGORITHM  # the one algorithm `sample` draws with
+    rng = RNG_ALGORITHM  # a class constant, not a field: the one algorithm `sample` draws with
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(NamedTuple):
     """Pauli expectations of one qubit plus spherical direction angles.
 
     (theta, phi) describe the direction x = r sin(theta) cos(phi),

@@ -15,27 +15,29 @@ with them reaches the wire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import DeviceModel, _is_int
+from .circuit import DeviceModel, _is_int, _Record
 from .errors import DeviceError
 from .states import DensityMatrix, _check_qubit, _expect
 
 COMPLETENESS_ATOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """A trace-preserving single-qubit channel given by its Kraus operators."""
+class KrausChannel(_Record):
+    """A trace-preserving single-qubit channel given by its Kraus
+    operators. Two channels are equal only when they are one object."""
 
-    ops: tuple[np.ndarray, ...]
+    __slots__ = ("ops",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, ops: tuple[np.ndarray, ...]):
+        self._set(ops)
         acc = np.zeros((2, 2), dtype=complex)
-        for k in self.ops:
-            if k.shape != (2, 2):
+        for k in ops:
+            if not isinstance(k, np.ndarray) or k.shape != (2, 2):
                 raise ValueError("Kraus operators must be 2x2")
             acc += k.conj().T @ k
         if not np.allclose(acc, np.eye(2), atol=COMPLETENESS_ATOL):
@@ -105,16 +107,15 @@ def decohere(rho: DensityMatrix, q: int, gamma: float, lam: float,
     return rho
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
+class NoiseConfig(_Record):
     """A device's decoherence slot, at the rates its DeviceModel checked, plus an on/off switch."""
 
-    device: DeviceModel
-    enabled: bool = True
+    __slots__ = ("device", "enabled")
 
-    def __post_init__(self):
-        if not isinstance(self.device, DeviceModel):
-            raise TypeError(f"NoiseConfig needs a DeviceModel, got {type(self.device).__name__}")
+    def __init__(self, device: DeviceModel, enabled: bool = True):
+        if not isinstance(device, DeviceModel):
+            raise TypeError(f"NoiseConfig needs a DeviceModel, got {type(device).__name__}")
+        self._set(device, enabled)
 
     @classmethod
     def from_device(cls, device: DeviceModel, enabled: bool = True) -> "NoiseConfig":

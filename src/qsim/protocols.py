@@ -13,7 +13,6 @@ Every pure state here, Bell pair or protocol input, is a PureState.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -146,8 +145,7 @@ def build_teleport_circuit(prep: Sequence[GateKind] = ()) -> Circuit:
     return Circuit(3, instrs, name="teleport")
 
 
-@dataclass(frozen=True)
-class BranchReport:
+class BranchReport(NamedTuple):
     """Post-selected analysis of one sender outcome."""
 
     outcome: str
@@ -156,8 +154,7 @@ class BranchReport:
     fidelity: float
 
 
-@dataclass
-class TeleportResult:
+class TeleportResult(NamedTuple):
     """What run_teleport reports: the exact three-wire distribution, the
     sampled histogram (None when run in exact mode), and one analysis
     per sender outcome, in outcome order."""

@@ -1,13 +1,20 @@
 """Text format round-trips, the device validator, and CNOT retargeting."""
 
+import copy
 import json
+import os
+import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qsim
 from qsim import circuit as circuit_module
 from qsim.circuit import (
     BlochMeasure,
@@ -203,6 +210,16 @@ class TestVocabulary:
         assert len(table) == 11 * n + n * (n - 1)
         for line, instr in table.items():
             assert format_circuit(Circuit(n, [instr])) == f"qubits {n}\n{line}\n"
+            # parse shares these: each is immutable, and a copy equals and hashes with it
+            twin = copy.copy(instr)
+            assert twin is not instr and twin == instr and hash(twin) == hash(instr)
+            assert format_circuit(Circuit(n, [twin])) == f"qubits {n}\n{line}\n"
+            for name in ("kind", "qubit", "control", "target"):
+                if hasattr(instr, name):
+                    with pytest.raises(AttributeError):
+                        setattr(instr, name, 0)
+                    with pytest.raises(AttributeError):
+                        delattr(instr, name)
         assert circuit_module._vocabulary(n) is table
         assert circuit_module._vocabulary.cache_info().currsize <= 16
 
@@ -223,6 +240,23 @@ class TestVocabulary:
         assert parse(text) == c
         assert format_circuit(parse(text)) == text
         assert len(table) == 11 * n + n * (n - 1)
+
+
+class TestEquality:
+    def test_instructions_equal_only_their_own_type(self):
+        assert MeasureZ(0) != BlochMeasure(0) and BlochMeasure(0) != MeasureZ(0)
+        assert Gate1(GateKind.H, 0) != (GateKind.H, 0)
+        assert Cnot(0, 1) != (0, 1) and MeasureZ(0) != (0,)
+        assert len({MeasureZ(0), BlochMeasure(0), MeasureZ(0)}) == 2
+        assert Circuit(1, [MeasureZ(0)]) != Circuit(1, [BlochMeasure(0)])
+
+    def test_circuits_ignore_name_and_source_lines(self):
+        assert Circuit(1, [MeasureZ(0)], name="a", source_lines=[1]) == Circuit(1, [MeasureZ(0)])
+        spaced = parse("qubits 1\n\nh q0\nmeasure q0\n", name="spaced")
+        assert spaced.source_lines == [3, 4]
+        assert spaced == parse("qubits 1\nh q0\nmeasure q0\n")
+        assert Circuit(2) != Circuit(1) and Circuit(1).instrs == []
+        assert Circuit(1).instrs is not Circuit(1).instrs
 
 
 class TestFormat:
@@ -287,6 +321,56 @@ class TestDeviceModel:
     def test_bad_rate_rejected(self):
         with pytest.raises(DeviceError, match="outside"):
             DeviceModel("bad", 1, frozenset(), 1e-6, (QubitNoise(1.5, 0.0),))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"qubits": (QubitNoise(0.1, 1.5), QubitNoise(0.0, 0.0))}, "gamma_phase=1.5 outside"),
+        ({"num_qubits": 3}, "one noise entry per qubit"),
+        ({"num_qubits": 0, "qubits": ()}, "at least one qubit"),
+        ({"allowed_cnot_targets": frozenset({2})}, "target q2 not on device"),
+    ], ids=["rate", "size", "empty", "target"])
+    def test_a_bad_field_is_refused_on_every_construction_path(self, tmp_path, fields, message):
+        good = {"name": "toy", "num_qubits": 2, "allowed_cnot_targets": frozenset({1}),
+                "gate_time_tau_s": 1e-6, "qubits": (QubitNoise(0.1, 0.2), QubitNoise(0.0, 0.0))}
+        bad = {**good, **fields}
+        data = {**bad, "allowed_cnot_targets": sorted(bad["allowed_cnot_targets"]),
+                "qubits": [{"gamma_relax": q.gamma_relax, "gamma_phase": q.gamma_phase}
+                           for q in bad["qubits"]]}
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(data))
+        for build in (lambda: DeviceModel(**bad), lambda: DeviceModel(*bad.values()),
+                      lambda: DeviceModel.from_dict(data), lambda: load_device(path)):
+            with pytest.raises(DeviceError, match=message):
+                build()
+        # a built device cannot be changed, and a copy or a pickle is checked again
+        device = DeviceModel(**good)
+        with pytest.raises(AttributeError):
+            device.qubits = bad["qubits"]
+        assert not hasattr(device, "_replace")
+        assert copy.deepcopy(device) == pickle.loads(pickle.dumps(device)) == device
+        forced = DeviceModel(**good)
+        for name, value in fields.items():
+            object.__setattr__(forced, name, value)
+        for rebuild in (copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))):
+            with pytest.raises(DeviceError, match=message):
+                rebuild(forced)
+
+    def test_a_path_that_is_no_str_or_pathlike_is_refused(self):
+        # open() would take an int (a bool, a numpy int) as a file
+        # descriptor, read it and close it; stdin and stdout stay open
+        code = ("import os\nimport numpy as np\nfrom qsim.circuit import load_device\n"
+                "refusals = []\n"
+                "for path in (0, True, np.int64(1), b'dev.json'):\n"
+                "    try:\n        load_device(path)\n"
+                "    except TypeError as exc:\n        refusals.append(str(exc))\n"
+                "os.fstat(0), os.fstat(1)\nprint(refusals)\n")
+        env = {k: v for k, v in os.environ.items() if k != "QSIM_DEVICE"}
+        src = str(Path(qsim.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == str([f"path must be a str or os.PathLike, got {kind}"
+                                   for kind in ("int", "bool", "int64", "bytes")]) + "\n"
 
     @pytest.mark.parametrize("tau", [-1e-7, 0.0, float("nan"), float("inf")])
     def test_bad_gate_time_rejected(self, tau):

@@ -166,6 +166,7 @@ class TestSimulate:
         assert main(["simulate", str(path), "--probabilities"]) == 0
         artifact = json.loads(capsys.readouterr().out)
         assert artifact["bloch"]["q0"]["x"] == pytest.approx(1.0, abs=1e-9)
+        assert list(artifact["bloch"]["q0"]) == ["x", "y", "z", "theta", "phi", "purity_norm"]
 
     def test_device_env_var_override(self, bell_file, tmp_path, monkeypatch, capsys):
         dev = tmp_path / "open.json"

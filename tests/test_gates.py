@@ -1,5 +1,6 @@
 """Gate matrices: definitions and algebra."""
 
+import re
 import struct
 
 import numpy as np
@@ -60,6 +61,13 @@ def test_matrices_are_read_only():
     for g in SINGLE:
         with pytest.raises(ValueError):
             matrix_of(g)[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("value", [-1, 2.0, True, "cx", None])
+def test_a_value_that_is_no_gate_is_refused(value):
+    with pytest.raises(ValueError, match=re.escape(f"unknown gate kind {value!r}")):
+        matrix_of(value)
+    assert np.array_equal(matrix_of("h"), matrix_of(GateKind.H))  # a GateKind is its mnemonic
 
 
 # (a, b, c, d) of [[a, b], [c, d]]; a complex repr shows the sign of a zero part

@@ -166,7 +166,8 @@ class TestSample:
         hist = sample(s, [0], 100, seed=1)
         assert hist.counts == {"1": 100}
         assert hist.shots == 100
-        assert hist.rng == RNG_ALGORITHM
+        assert hist.rng == Histogram.rng == RNG_ALGORITHM == "pcg64"
+        assert Histogram._fields == ("shots", "counts", "seed")  # rng is a class constant
 
     def test_same_seed_reproduces_identical_counts(self):
         s = bell_state_2q()

@@ -1,6 +1,5 @@
 """Kraus channels and the noisy density-matrix engine."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -100,8 +99,9 @@ class TestChannels:
     def test_completeness_enforced(self):
         with pytest.raises(ValueError, match="K†K"):
             KrausChannel((np.eye(2, dtype=complex) * 0.5,))
-        with pytest.raises(ValueError, match="must be 2x2"):
-            KrausChannel((np.eye(3, dtype=complex),))
+        for ops in ((np.eye(3, dtype=complex),), "x", ([[1, 0], [0, 1]],)):
+            with pytest.raises(ValueError, match="must be 2x2"):
+                KrausChannel(ops)
 
     def test_completeness_of_constructed_channels(self):
         rng = np.random.default_rng(31)
@@ -370,9 +370,11 @@ class TestNoiseConfig:
         circuit = random_circuit(np.random.default_rng(seed), n, depth)
         # an override takes its rates from the config's device, not from `a`
         overridden = run(circuit, "real", a, NoiseConfig(b))
-        rebuilt = run(circuit, "real", dataclasses.replace(a, qubits=b.qubits))
+        rebuilt = run(circuit, "real", DeviceModel(a.name, a.num_qubits, a.allowed_cnot_targets,
+                                                     a.gate_time_tau_s, b.qubits))
         assert overridden.mat.tobytes() == rebuilt.mat.tobytes()
         # a disabled config runs as the same device with every rate zero
         disabled = run(circuit, "real", b, NoiseConfig(b, enabled=False))
-        silent = run(circuit, "real", dataclasses.replace(b, qubits=(QubitNoise(0.0, 0.0),) * size))
+        silent = run(circuit, "real", DeviceModel(b.name, size, b.allowed_cnot_targets,
+                                                   b.gate_time_tau_s, (QubitNoise(0.0, 0.0),) * size))
         assert disabled.mat.tobytes() == silent.mat.tobytes()

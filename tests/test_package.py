@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,8 @@ FORBIDDEN_CX = "qubits 3\nh q0\ncx q1 q0\nmeasure q0\n"
 MALFORMED = "qubits 3\nfoo q0\n"
 WIDE = "qubits 6\nh q0\nmeasure q0\n"  # does not fit the packaged 5-qubit device
 NO_READOUT = "qubits 1\nh q0\n"
+# generating a dataclass imports inspect (with ast, dis and tokenize); qsim's records need neither
+CODE_GENERATION = {"dataclasses", "inspect"}
 
 
 def test_every_public_name_resolves():
@@ -91,6 +94,7 @@ def test_validate_loads_no_numpy(tmp_path, command, text, code):
     assert "numpy" not in modules
     assert not modules & {"qsim.engine", "qsim.measure", "qsim.protocols", "qsim.states"}
     assert "encodings.utf_8_sig" not in modules  # circuit.read_utf8 drops the mark itself
+    assert not modules & CODE_GENERATION
 
 
 def test_refused_real_simulate_loads_no_numpy(capsys):
@@ -108,6 +112,14 @@ def test_refused_real_simulate_loads_no_numpy(capsys):
     assert "CnotTargetForbidden" in report
     assert result == [1, report]
     assert not modules & {"numpy", "qsim.engine", "qsim.measure", "qsim.noise", "qsim.states"}
+    assert not modules & CODE_GENERATION
+
+
+def test_no_module_imports_dataclasses():
+    imports = re.compile(r"^\s*(import|from)\s+dataclasses\b", re.MULTILINE)
+    sources = sorted(Path(qsim.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) >= 10
+    assert [p.name for p in sources if imports.search(p.read_text(encoding="utf-8"))] == []
 
 
 def test_simulate_loads_no_protocols(tmp_path):

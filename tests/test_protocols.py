@@ -1,6 +1,5 @@
 """Bell states, both teleportation routes, and the idle-decay sweep."""
 
-import dataclasses
 import re
 from pathlib import Path
 
@@ -9,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.circuit import Circuit, Gate1, MeasureZ, QubitNoise, default_device, parse, validate
+from qsim.circuit import (Circuit, DeviceModel, Gate1, MeasureZ, QubitNoise, default_device, parse,
+                          validate)
 from qsim.cli import simulate_text, sweep_text
 from qsim.engine import PROCESSORS, run
 from qsim.errors import ValidationError
@@ -374,9 +374,9 @@ def test_one_validator_pass_per_run(monkeypatch, processor):
 
 
 PACKAGED = default_device()
-DEPHASING = dataclasses.replace(
-    PACKAGED, name="dephasing",
-    qubits=tuple(QubitNoise(q.gamma_relax, 0.01) for q in PACKAGED.qubits))
+DEPHASING = DeviceModel(
+    "dephasing", PACKAGED.num_qubits, PACKAGED.allowed_cnot_targets, PACKAGED.gate_time_tau_s,
+    tuple(QubitNoise(q.gamma_relax, 0.01) for q in PACKAGED.qubits))
 
 
 @pytest.mark.parametrize("processor", PROCESSORS)
@@ -409,8 +409,8 @@ def test_sweep_rows_equal_independent_runs(processor, qubit, n_max, shots, seed,
 def test_teleport_branches_match_dense_oracle(processor, prep, rates):
     """Every branch of run_teleport equals the projector-and-partial-trace
     construction on the same 8x8 state, on both processors."""
-    device = dataclasses.replace(
-        PACKAGED, name="random-rates", qubits=tuple(QubitNoise(g, lam) for g, lam in rates))
+    device = DeviceModel("random-rates", PACKAGED.num_qubits, PACKAGED.allowed_cnot_targets,
+                         PACKAGED.gate_time_tau_s, tuple(QubitNoise(g, lam) for g, lam in rates))
     state = run(build_teleport_circuit(prep), processor, device)
     rho = state.mat if isinstance(state, DensityMatrix) else np.outer(state.amps, state.amps.conj())
     psi_in = apply_correction(np.array([1.0, 0.0], dtype=complex), prep)
