@@ -247,10 +247,10 @@ def _json_number(value, field: str, kind: type = float):
 def read_utf8(path) -> str:
     """A file's bytes decoded as UTF-8, one leading byte-order mark
     dropped; bytes that are not UTF-8 raise UnicodeDecodeError. `path` is
-    a str or os.PathLike, else TypeError: open() would take an integer as
-    a file descriptor, and close it."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise TypeError(f"path must be a str or os.PathLike, got {type(path).__name__}")
+    a str, bytes or os.PathLike, else TypeError: open() would take an
+    integer as a file descriptor, and close it."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise TypeError(f"path must be a str, bytes or os.PathLike, got {type(path).__name__}")
     with open(path, "rb") as fh:
         return fh.read().removeprefix(codecs.BOM_UTF8).decode("utf-8")
 

@@ -23,9 +23,10 @@ out.
 
 Each subcommand imports only what it runs: argument handling, `validate`
 and the parse step of every subcommand need `circuit`, `gates` and
-`errors` alone, so a `validate` process never loads numpy. Nor does it
-load `inspect`: qsim's records are `NamedTuple`s and slotted classes,
-and no module imports `dataclasses`. `simulate`
+`errors` alone, so a `validate` process never loads numpy. Nor, before
+Python 3.12, does it load `inspect`: qsim's records are `NamedTuple`s
+and slotted classes, and no module imports `dataclasses` (from 3.12
+`importlib.resources` imports `inspect` itself). `simulate`
 loads the engine and `measure` (and with them numpy) only once the
 circuit has parsed and passed its one validator pass, and only
 `teleport` and `sweep` load `protocols`.

@@ -354,12 +354,12 @@ class TestDeviceModel:
             with pytest.raises(DeviceError, match=message):
                 rebuild(forced)
 
-    def test_a_path_that_is_no_str_or_pathlike_is_refused(self):
+    def test_a_path_that_is_no_str_bytes_or_pathlike_is_refused(self):
         # open() would take an int (a bool, a numpy int) as a file
         # descriptor, read it and close it; stdin and stdout stay open
         code = ("import os\nimport numpy as np\nfrom qsim.circuit import load_device\n"
                 "refusals = []\n"
-                "for path in (0, True, np.int64(1), b'dev.json'):\n"
+                "for path in (0, True, np.int64(1)):\n"
                 "    try:\n        load_device(path)\n"
                 "    except TypeError as exc:\n        refusals.append(str(exc))\n"
                 "os.fstat(0), os.fstat(1)\nprint(refusals)\n")
@@ -369,8 +369,12 @@ class TestDeviceModel:
         proc = subprocess.run([sys.executable, "-c", code], stdin=subprocess.DEVNULL,
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == str([f"path must be a str or os.PathLike, got {kind}"
-                                   for kind in ("int", "bool", "int64", "bytes")]) + "\n"
+        assert proc.stdout == str([f"path must be a str, bytes or os.PathLike, got {kind}"
+                                   for kind in ("int", "bool", "int64")]) + "\n"
+
+    def test_a_bytes_path_is_read(self):
+        path = Path(qsim.__file__).resolve().parent / "devices" / "ibmqx-like.json"
+        assert load_device(os.fsencode(path)) == default_device()
 
     @pytest.mark.parametrize("tau", [-1e-7, 0.0, float("nan"), float("inf")])
     def test_bad_gate_time_rejected(self, tau):
