@@ -19,8 +19,9 @@ kind), no further gate may touch it. The validator reports that, plus
 device-level problems, as data rather than exceptions. On the real
 processor, which checks a circuit against a device, the whole register
 must fit the device, even wires that no instruction touches.
-`PROCESSORS` names the two processors and `check` their rule here, so
-that the CLI can offer them and refuse a circuit without numpy.
+`PROCESSORS` names the two processors, `check` their rule and
+`MAX_SWEEP_POINTS` the sweep's cap here, so that the CLI can offer them
+and refuse a circuit or a sweep without numpy.
 """
 
 from __future__ import annotations
@@ -32,15 +33,15 @@ import numbers
 import os
 from enum import Enum
 from functools import cache, partial
-from importlib import resources
 from itertools import permutations
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import DeviceError, ParseError, UntranspilableError
 from .gates import GateKind
 
 MAX_QUBITS = 16
 PROCESSORS = ("ideal", "real")  # engine.run's statevector and density-matrix engines
+MAX_SWEEP_POINTS = 200  # decoherence_sweep's largest n_max
 
 
 def _is_int(x) -> bool:
@@ -48,6 +49,15 @@ def _is_int(x) -> bool:
     Python or numpy integer, but not a bool (which indexes numpy as a mask)."""
     # runs per wire check and per `decohere` flush: plain ints skip the ~0.7 us ABC lookup
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
+def _expect(value, kind: type, n: int | None = None) -> None:
+    """The package's one check of an argument of one class (a circuit, a
+    device, a state): `value` must be a `kind`, on n wires if n is given."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(value).__name__}")
+    if n is not None and value.num_qubits != n:
+        raise ValueError(f"expected a {n}-qubit {kind.__name__}, got {value.num_qubits} qubits")
 
 
 class _Record:
@@ -185,14 +195,25 @@ class DeviceModel(_Record):
     `allowed_cnot_targets` encodes the hardware rule that CNOT may only
     point at designated wires; `gate_time_tau_s` is the wall-clock
     duration of one gate slot, used to convert identity-gate counts to
-    elapsed time.
+    elapsed time. The constructor checks every field, on every path
+    (`from_dict`, a call, a copy, a pickle): a wrong type is a TypeError,
+    a value out of range a DeviceError. It stores ints, floats, a
+    frozenset of targets and a tuple of QubitNoise, which it builds from
+    (gamma_relax, gamma_phase) pairs.
     """
 
     __slots__ = ("name", "num_qubits", "allowed_cnot_targets", "gate_time_tau_s", "qubits")
 
-    def __init__(self, name: str, num_qubits: int, allowed_cnot_targets: frozenset[int],
-                 gate_time_tau_s: float, qubits: tuple[QubitNoise, ...]):
-        self._set(name, num_qubits, allowed_cnot_targets, gate_time_tau_s, qubits)
+    def __init__(self, name: str, num_qubits: int, allowed_cnot_targets: Iterable[int],
+                 gate_time_tau_s: float, qubits: Iterable[tuple[float, float]]):
+        qubits = tuple(QubitNoise(_json_number(relax, "gamma_relax"),
+                                  _json_number(phase, "gamma_phase")) for relax, phase in qubits)
+        if not isinstance(name, str):
+            raise TypeError(f"name must be a str, got {name!r}")
+        self._set(name, _json_number(num_qubits, "num_qubits", int),
+                  frozenset(_json_number(t, "allowed_cnot_targets entry", int)
+                            for t in allowed_cnot_targets),
+                  _json_number(gate_time_tau_s, "gate_time_tau_s"), qubits)
         try:
             self.name.encode()  # reports print the name; a lone surrogate cannot be written
         except UnicodeEncodeError as exc:
@@ -217,27 +238,15 @@ class DeviceModel(_Record):
     @classmethod
     def from_dict(cls, data: dict) -> "DeviceModel":
         try:
-            qubits = tuple(
-                QubitNoise(_json_number(q["gamma_relax"], "gamma_relax"),
-                           _json_number(q["gamma_phase"], "gamma_phase"))
-                for q in data["qubits"]
-            )
-            return cls(
-                name=str(data["name"]),
-                num_qubits=_json_number(data["num_qubits"], "num_qubits", int),
-                allowed_cnot_targets=frozenset(
-                    _json_number(t, "allowed_cnot_targets entry", int)
-                    for t in data["allowed_cnot_targets"]
-                ),
-                gate_time_tau_s=_json_number(data["gate_time_tau_s"], "gate_time_tau_s"),
-                qubits=qubits,
-            )
+            qubits = [(q["gamma_relax"], q["gamma_phase"]) for q in data["qubits"]]
+            return cls(data["name"], data["num_qubits"], data["allowed_cnot_targets"],
+                       data["gate_time_tau_s"], qubits)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DeviceError(f"bad device description: {exc}") from exc
 
 
 def _json_number(value, field: str, kind: type = float):
-    """A device field as `kind`: a JSON integer for int, any JSON number for float."""
+    """A device field as `kind`: an integer for int, any number for float; never a bool."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         noun = "an integer" if kind is int else "a number"
         raise TypeError(f"{field} must be {noun}, got {value!r}")
@@ -272,10 +281,10 @@ def load_device(path) -> DeviceModel:
 def default_device() -> DeviceModel:
     """The packaged 5-qubit device: CNOT targets restricted to q2, qubit 3
     the least robust against relaxation. Rates are illustrative defaults,
-    not calibration data. The file is read by load_device, so a damaged
-    install's DeviceError names its path."""
-    with resources.as_file(resources.files("qsim") / "devices" / "ibmqx-like.json") as path:
-        return load_device(path)
+    not calibration data. load_device reads the file beside this module
+    (a zipped install is not supported), so a damaged install's
+    DeviceError names its path."""
+    return load_device(os.path.join(os.path.dirname(__file__), "devices", "ibmqx-like.json"))
 
 
 class ViolationCode(Enum):
@@ -424,6 +433,7 @@ def format_circuit(circuit: Circuit) -> str:
     parse(format_circuit(c)) is structurally equal to c, and formatting
     an already-canonical text reproduces it byte for byte.
     """
+    _expect(circuit, Circuit)
     return "\n".join([f"qubits {circuit.num_qubits}", *map(_line, circuit.instrs)]) + "\n"
 
 
@@ -431,7 +441,8 @@ def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violat
     """Check that a circuit can execute, optionally on a given device.
 
     Returns findings as data (empty list means runnable), in instruction
-    order, and never raises on a well-typed circuit. Wire bounds, gate
+    order, and never raises on a well-typed circuit; a `circuit` or
+    `device` of the wrong class is a TypeError. Wire bounds, gate
     kinds and terminal measurement are checked first; a wire index that
     is not an integer in range is reported once and checked no further.
     With a device, the register and its wires must then fit the chip and
@@ -444,6 +455,9 @@ def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violat
     register and the chip and are not yet measured. Every other
     instruction goes through `_check_instruction`, which runs every check.
     """
+    _expect(circuit, Circuit)
+    if device is not None:
+        _expect(device, DeviceModel)
     n = circuit.num_qubits
     fits = n if device is None else min(n, device.num_qubits)
     allowed = None if device is None else device.allowed_cnot_targets
@@ -545,6 +559,8 @@ def retarget_cnots(circuit: Circuit, device: DeviceModel) -> Circuit:
 
     Returns the input object unchanged when nothing needs rewriting.
     """
+    _expect(circuit, Circuit)
+    _expect(device, DeviceModel)
     allowed = device.allowed_cnot_targets
     rewritten = False
     instrs: list[Instruction] = []

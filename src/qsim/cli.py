@@ -23,13 +23,12 @@ out.
 
 Each subcommand imports only what it runs: argument handling, `validate`
 and the parse step of every subcommand need `circuit`, `gates` and
-`errors` alone, so a `validate` process never loads numpy. Nor, before
-Python 3.12, does it load `inspect`: qsim's records are `NamedTuple`s
-and slotted classes, and no module imports `dataclasses` (from 3.12
-`importlib.resources` imports `inspect` itself). `simulate`
-loads the engine and `measure` (and with them numpy) only once the
-circuit has parsed and passed its one validator pass, and only
-`teleport` and `sweep` load `protocols`.
+`errors` alone, so a `validate` process never loads numpy. Nor does it
+load `inspect`: qsim's records are `NamedTuple`s and slotted classes,
+no module imports `dataclasses`, and the packaged device is read by
+path. `simulate` loads the engine and `measure` (and with them numpy)
+only once the circuit has parsed and passed its one validator pass,
+and only `teleport` and `sweep` load `protocols`.
 
 `main()` with no argument serves the process's own command line, and
 the process ends when it returns (the `qsim` console script, `python -m
@@ -52,6 +51,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .circuit import (
+    MAX_SWEEP_POINTS,
     PROCESSORS,
     Circuit,
     DeviceModel,
@@ -75,7 +75,6 @@ if TYPE_CHECKING:
 
 DEVICE_ENV_VAR = "QSIM_DEVICE"
 DEFAULT_SHOTS = 8192
-MAX_SWEEP_POINTS = 200
 BAR_WIDTH = 60
 FORMATS = ("json", "csv", "ascii")  # simulate --format
 TELEPORT_FORMATS = ("json", "ascii")  # teleport --format

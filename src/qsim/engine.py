@@ -95,14 +95,14 @@ from .circuit import (
     DeviceModel,
     Gate1,
     ViolationCode,
+    _expect,
     check,
     default_device,
 )
 from .errors import ValidationError
 from .gates import ENTRIES, GateKind
 from .noise import NoiseConfig, decohere
-from .states import (DensityMatrix, PureState, _apply_1q, _apply_cnot, _expect,
-                     check_capacity, embed)
+from .states import DensityMatrix, PureState, _apply_1q, _apply_cnot, check_capacity, embed
 
 _IDENTITY = (1, 0, 0, 1)
 _PAULI_X = (0, 1, 1, 0)
@@ -146,7 +146,7 @@ def run(
             enabled=False, the ideal limit); `device` still validates.
         initial: starting state, copied and not mutated; an n-wire
             PureState on the ideal processor, DensityMatrix on the real
-            one (`states._expect`: TypeError for another kind, ValueError
+            one (`circuit._expect`: TypeError for another kind, ValueError
             for another size). |0...0> if omitted, held as only the wires
             that leave |0>. Either way `check_capacity` first refuses a
             register wider than the engine holds.

@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from .circuit import DeviceModel, _is_int, _Record
+from .circuit import DeviceModel, _expect, _is_int, _Record
 from .errors import DeviceError
-from .states import DensityMatrix, _check_qubit, _expect
+from .states import DensityMatrix, _check_qubit
 
 COMPLETENESS_ATOL = 1e-10
 
@@ -84,7 +84,7 @@ def decohere(rho: DensityMatrix, q: int, gamma: float, lam: float,
 
     k slots are one slot with rates 1-(1-gamma)^k and (1-(1-2 lam)^k)/2;
     a single slot uses gamma and lam as given. A state that is not a
-    DensityMatrix is refused by `states._expect` (TypeError), and a rate
+    DensityMatrix is refused by `circuit._expect` (TypeError), and a rate
     outside [0, 1] by `_check_rate` (ValueError).
     """
     _expect(rho, DensityMatrix)

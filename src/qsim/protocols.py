@@ -17,14 +17,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuit import (PROCESSORS, Circuit, Cnot, DeviceModel, Gate1, MeasureZ, _is_int,
-                      default_device, validate)
+from .circuit import (MAX_SWEEP_POINTS, PROCESSORS, Circuit, Cnot, DeviceModel, Gate1,
+                      MeasureZ, _expect, _is_int, default_device, validate)
 from .engine import _evolve, run
 from .errors import ValidationError
 from .gates import _SQRT1_2, GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
 from .noise import NoiseConfig, decohere
-from .states import PureState, _expect
+from .states import PureState
 
 
 class BellIndex(NamedTuple):
@@ -211,7 +211,8 @@ def decoherence_sweep(
     seed: int = 0,
 ) -> list[tuple[int, float, float]]:
     """Probe one qubit's decay by idling it in superposition: a list of
-    points (n, p0, p1), one per idle length n = 0..n_max in `id` gates.
+    points (n, p0, p1), one per idle length n = 0..n_max in `id` gates,
+    with n_max at most MAX_SWEEP_POINTS.
 
     Point n is the readout of [h q; id x n; measure q] on wires 0..q: Hadamard puts the
     wire at the equator, the identity line holds it there for n gate slots, and the
@@ -231,6 +232,8 @@ def decoherence_sweep(
         raise ValueError(f"qubit must be an integer >= 0, got {qubit!r}")
     if not _is_int(n_max) or n_max < 0:
         raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
+    if n_max > MAX_SWEEP_POINTS:
+        raise ValueError(f"n_max is capped at {MAX_SWEEP_POINTS}, got {n_max}")
     if device is None:
         device = default_device()
 

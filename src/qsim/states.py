@@ -28,8 +28,8 @@ loop runs along mid. A state is a plain class that reads its size from
 its buffer, (2^n,) or (2^n, 2^n), and compares by identity. `_register`,
 the kind check of a function that takes either kind, refuses a non-state
 and reads a density matrix as the 2n-wire register of its buffer, so both
-processors run the same gate kernels; `_expect` is the kind and size
-check of a function that takes one kind. engine.run defers
+processors run the same gate kernels; `circuit._expect` is the kind and
+size check of a function that takes one kind. engine.run defers
 diagonal and anti-diagonal gates and the real processor's noise slots,
 and applies them lazily. The public apply_1q and apply_cnot check their
 matrix and wires, then call the unchecked `_apply_1q` (2x2 entries as
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, _is_int
+from .circuit import MAX_QUBITS, _expect, _is_int
 from .errors import CapacityError
 
 MAX_DENSITY_QUBITS = 10
@@ -210,14 +210,6 @@ def _register(state) -> tuple[np.ndarray, int, tuple[int, ...]]:
         n = state.num_qubits
         return state.mat.reshape(-1), 2 * n, (0, n)
     raise TypeError(f"expected a PureState or DensityMatrix, got {type(state).__name__}")
-
-
-def _expect(state, kind: type, n: int | None = None) -> None:
-    """The kind check for one kind: `state` must be a `kind`, on n wires if n is given."""
-    if not isinstance(state, kind):
-        raise TypeError(f"expected a {kind.__name__}, got {type(state).__name__}")
-    if n is not None and state.num_qubits != n:
-        raise ValueError(f"expected a {n}-qubit {kind.__name__}, got {state.num_qubits} qubits")
 
 
 def embed(state, wires, new_wires):

@@ -259,6 +259,22 @@ class TestEquality:
         assert Circuit(1).instrs is not Circuit(1).instrs
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: format_circuit(None), "expected a Circuit, got NoneType"),
+    (lambda: validate(None), "expected a Circuit, got NoneType"),
+    (lambda: validate(parse(TELEPORT_TEXT), "dev"), "expected a DeviceModel, got str"),
+    (lambda: retarget_cnots(None, default_device()), "expected a Circuit, got NoneType"),
+    (lambda: retarget_cnots(parse(TELEPORT_TEXT), None), "expected a DeviceModel, got NoneType"),
+    (lambda: run(None), "expected a Circuit, got NoneType"),
+    (lambda: run(parse(TELEPORT_TEXT), "real", "dev"), "expected a DeviceModel, got str"),
+], ids=["format", "validate", "validate-device", "retarget", "retarget-device", "run",
+        "run-device"])
+def test_an_argument_of_the_wrong_class_is_a_type_error(call, message):
+    # refused before any attribute is read; run goes through check and validate
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
 class TestFormat:
     def test_empty_circuit(self):
         assert format_circuit(Circuit(5)) == "qubits 5\n"
@@ -390,7 +406,7 @@ class TestDeviceModel:
         # the deep one overflows the json parser's recursion; then two byte
         # strings that are not UTF-8 (the second a cut byte-order mark), a
         # value from_dict cannot read, an integer past Python's digit limit,
-        # and two devices __post_init__ refuses: no qubit, and a name no
+        # and two devices DeviceModel refuses: no qubit, and a name no
         # report can print
         for text in (b"{not json", b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe", b"\xef\xbb",
                      b"[]", b"1" * 5000, json.dumps(empty).encode(),
@@ -414,6 +430,10 @@ class TestDeviceModel:
         ("qubits", [{"gamma_relax": 0.0, "gamma_phase": "0"}], "gamma_phase must be a number"),
         ("qubits", [], "device needs one noise entry per qubit"),
         ("allowed_cnot_targets", [1], "allowed cnot target q1 not on device"),
+        ("allowed_cnot_targets", [0.5], "allowed_cnot_targets entry must be an integer, got 0.5"),
+        ("qubits", [{"gamma_relax": None, "gamma_phase": 0.0}],
+         "gamma_relax must be a number, got None"),
+        ("name", 5, "name must be a str, got 5"),
     ])
     def test_non_numeric_fields_rejected(self, field, value, message):
         data = {"name": "toy", "num_qubits": 1, "allowed_cnot_targets": [0],
@@ -421,6 +441,32 @@ class TestDeviceModel:
         data[field] = value
         with pytest.raises(DeviceError, match=re.escape(message)):
             DeviceModel.from_dict(data)
+        # the constructor runs the same checks: a wrong type is its own TypeError
+        # (OverflowError for an int no float holds), a bad value a DeviceError
+        fields = {**data, "qubits": [(q["gamma_relax"], q["gamma_phase"]) for q in data["qubits"]]}
+        refusal = (DeviceError if "device" in message
+                   else OverflowError if "too large" in message else TypeError)
+        with pytest.raises(refusal, match=f"^{re.escape(message)}"):
+            DeviceModel(**fields)
+
+    @pytest.mark.parametrize("field, value, stored", [
+        ("gate_time_tau_s", 1, 1.0),
+        ("allowed_cnot_targets", [0], frozenset({0})),
+        ("qubits", [(0, 1)], (QubitNoise(0.0, 1.0),)),
+    ], ids=["tau", "targets", "qubits"])
+    def test_a_direct_call_stores_what_from_dict_stores(self, field, value, stored):
+        fields = {"name": "toy", "num_qubits": 1, "allowed_cnot_targets": frozenset(),
+                  "gate_time_tau_s": 1e-7, "qubits": (QubitNoise(0.0, 0.0),), field: value}
+        data = {**fields, "allowed_cnot_targets": list(fields["allowed_cnot_targets"]),
+                "qubits": [{"gamma_relax": g, "gamma_phase": p} for g, p in fields["qubits"]]}
+        device = DeviceModel(**fields)
+        assert device == DeviceModel.from_dict(data)
+        assert hash(device) == hash(DeviceModel.from_dict(data))
+        assert getattr(device, field) == stored
+        assert type(getattr(device, field)) is type(stored)
+        assert type(device.gate_time_tau_s) is float
+        assert [type(q) for q in device.qubits] == [QubitNoise]
+        assert [type(rate) for rate in device.qubits[0]] == [float, float]
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
 """The public namespace, and the modules each CLI process loads."""
 
+import functools
 import json
 import os
 import re
@@ -33,9 +34,9 @@ MALFORMED = "qubits 3\nfoo q0\n"
 WIDE = "qubits 6\nh q0\nmeasure q0\n"  # does not fit the packaged 5-qubit device
 NO_READOUT = "qubits 1\nh q0\n"
 # generating a dataclass imports inspect (with ast, dis and tokenize); qsim's records need
-# neither. From Python 3.12 importlib.resources, which finds the packaged device, imports
-# inspect itself.
-CODE_GENERATION = {"dataclasses"} | ({"inspect"} if sys.version_info < (3, 12) else set())
+# neither, and it reads the packaged device by path, not through importlib.resources, which
+# imports inspect from Python 3.12
+CODE_GENERATION = {"dataclasses", "inspect"}
 
 
 def test_every_public_name_resolves():
@@ -55,16 +56,32 @@ def test_unknown_name_is_an_attribute_error():
         qsim.no_such_name  # noqa: B018
 
 
-def _modules_after(code: str) -> tuple[object, set[str]]:
+def _run_reporting(code: str) -> tuple[object, set[str]]:
     """(the value of `result`, the names in sys.modules) after running
     code in a fresh interpreter that imports qsim from this tree."""
     env = {k: v for k, v in os.environ.items() if k != "QSIM_DEVICE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    report = "import json, sys; print(json.dumps([result, sorted(sys.modules)]))"
+    # the names are taken before the report imports json
+    report = ("import sys\nloaded = sorted(sys.modules)\n"
+              "import json\nprint(json.dumps([result, loaded]))")
     proc = subprocess.run([sys.executable, "-c", f"result = None\n{code}\n{report}"],
                           capture_output=True, text=True, env=env, timeout=120, check=True)
     result, modules = json.loads(proc.stdout.splitlines()[-1])
     return result, set(modules)
+
+
+@functools.cache
+def _bare_modules() -> frozenset[str]:
+    """The modules a bare `python -c pass` has loaded in the same environment
+    (`site` and what it imports, such as a .pth file's packages)."""
+    return frozenset(_run_reporting("pass")[1])
+
+
+def _modules_after(code: str) -> tuple[object, set[str]]:
+    """(the value of `result`, the modules that code adds to a bare
+    interpreter's) after running it in a fresh interpreter."""
+    result, modules = _run_reporting(code)
+    return result, modules - _bare_modules()
 
 
 def test_import_qsim_loads_no_submodule():

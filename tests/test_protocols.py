@@ -321,6 +321,9 @@ class TestDecoherenceSweep:
             decoherence_sweep(1, 2.5)
         with pytest.raises(ValueError, match="n_max must be an integer"):
             decoherence_sweep(1, True)
+        # the CLI's --n-max cap holds in the library too
+        with pytest.raises(ValueError, match=r"^n_max is capped at 200, got 201$"):
+            decoherence_sweep(0, 201)
 
     def test_unknown_processor_is_refused(self):
         message = "processor must be one of ('ideal', 'real'), got 'bogus'"

@@ -171,7 +171,7 @@ TAKES_ONE_KIND = {  # name: (call, the kind it takes, a state of the other kind)
     if not (name.startswith("run") and bad == "None")  # initial=None is |0...0>
 ])
 def test_the_wrong_kind_is_a_type_error_naming_both(name, bad):
-    # refused by states._expect, which names the kind the function takes
+    # refused by circuit._expect, which names the kind the function takes
     call, kind, other = TAKES_ONE_KIND[name]
     arg = {"None": None, "SimpleNamespace": SimpleNamespace(), "other kind": other}[bad]
     with pytest.raises(TypeError, match=f"^expected a {kind}, got {type(arg).__name__}$"):
