@@ -364,7 +364,9 @@ def parse(source: str, name: str = "") -> Circuit:
     size's vocabulary of canonical lines, and every occurrence shares its
     frozen instruction; only a line the vocabulary lacks (an odd spelling
     such as ``H Q03``, or an invalid line) is checked token by token.
+    A `source` that is not a `str` is a TypeError.
     """
+    _expect(source, str)
     num_qubits: int | None = None
     instrs: list[Instruction] = []
     lines: list[int] = []
@@ -495,7 +497,10 @@ def validate(circuit: Circuit, device: DeviceModel | None = None) -> list[Violat
 
 def check(circuit: Circuit, processor: str, device: DeviceModel) -> list[Violation]:
     """validate() under the processor's rules: the CNOT-target rule and
-    the chip size are hardware constraints, checked on the real one only."""
+    the chip size are hardware constraints, checked on the real one only.
+    A device that is given is a `DeviceModel` on either processor."""
+    if device is not None:
+        _expect(device, DeviceModel)
     if processor not in PROCESSORS:
         raise ValueError(f"processor must be one of {PROCESSORS}, got {processor!r}")
     return validate(circuit, device if processor == "real" else None)

@@ -89,7 +89,6 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import (
-    PROCESSORS,
     Circuit,
     Cnot,
     DeviceModel,
@@ -140,7 +139,8 @@ def run(
         circuit: instructions to execute.
         processor: "ideal" (statevector) or "real" (density matrix).
         device: constraints and rates of the real processor; the
-            packaged device if omitted. Ignored by the ideal processor.
+            packaged device if omitted. The ideal processor only checks
+            that a given one is a DeviceModel.
         noise: the real processor's slot, in place of the device's own:
             its rates are those of the config's device (and none for
             enabled=False, the ideal limit); `device` still validates.

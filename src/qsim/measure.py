@@ -5,14 +5,14 @@ order, leftmost bit = lowest measured index, consistent with the global
 qubit-0-is-most-significant convention. `marginal` is the one place
 that validates measured wires and clips negative populations, and
 `sample` draws from it. Both build their bitstring keys in bulk
-(`_bit_keys`): one uint32 matrix of UCS4 code points, a row per kept
-index, viewed as fixed-width unicode items, not one `format` call per
-entry. Each map is built once, in index order, which is key order, and
-the CLI's writers (`cli.histogram_json_fields` for JSON) use it as
-built; this module writes no text. Shot sampling uses numpy's PCG64
-generator; the algorithm identifier travels with every histogram so
-results are reproducible across platforms from (state, qubits, shots,
-seed) alone.
+(`_bit_keys`): the kept indices' bits unpacked into one ASCII byte
+matrix, a row per index ended by a space, decoded and split once, not
+one `format` call per entry. Each map is built once, in index order,
+which is key order, and the CLI's writers (`cli.histogram_json_fields`
+for JSON) use it as built; this module writes no text. Shot sampling
+uses numpy's PCG64 generator; the algorithm identifier travels with
+every histogram so results are reproducible across platforms from
+(state, qubits, shots, seed) alone.
 """
 
 from __future__ import annotations
@@ -89,16 +89,13 @@ def marginal(state, measured: Sequence[int]) -> np.ndarray:
 
 
 def _bit_keys(indices: np.ndarray, width: int) -> list[str]:
-    """`format(i, f"0{width}b")` of every index, built as one uint32
-    matrix of UCS4 code points (a row per index, most significant bit
-    first), whose rows, viewed as `U{width}` items, are the keys."""
-    bits = indices.astype(np.uint32)  # at most 16 wires
-    chars = np.empty((len(bits), width), dtype=np.uint32)
-    for j in range(width):
-        np.right_shift(bits, width - 1 - j, out=chars[:, j])
-    chars &= 1
-    chars += ord("0")
-    return chars.view(f"U{width}").ravel().tolist()
+    """`format(i, f"0{width}b")` of every index (at most 16 wires), built as
+    one ASCII byte matrix: a row per index, its low `width` bits most
+    significant first and then a space, so one `split` yields the keys."""
+    chars = np.full((len(indices), width + 1), ord(" "), dtype=np.uint8)
+    bits = np.unpackbits(indices.astype(">u2").view(np.uint8)).reshape(-1, 16)
+    chars[:, :width] = bits[:, 16 - width:] + ord("0")
+    return chars.tobytes().decode("ascii").split()
 
 
 def probabilities(state, measured: Sequence[int]) -> dict[str, float]:

@@ -32,6 +32,7 @@ from qsim.circuit import (
     retarget_cnots,
     validate,
 )
+from qsim.cli import simulate_text
 from qsim.engine import run
 from qsim.errors import DeviceError, ParseError, UntranspilableError, ValidationError
 from qsim.gates import GateKind
@@ -267,10 +268,20 @@ class TestEquality:
     (lambda: retarget_cnots(parse(TELEPORT_TEXT), None), "expected a DeviceModel, got NoneType"),
     (lambda: run(None), "expected a Circuit, got NoneType"),
     (lambda: run(parse(TELEPORT_TEXT), "real", "dev"), "expected a DeviceModel, got str"),
+    # the ideal processor has no use for a device, but a given one is still checked
+    (lambda: run(parse(TELEPORT_TEXT), "ideal", "dev"), "expected a DeviceModel, got str"),
+    (lambda: simulate_text(parse(TELEPORT_TEXT), "dev", "ideal", "csv", 4, 1),
+     "expected a DeviceModel, got str"),
+    (lambda: simulate_text(parse(TELEPORT_TEXT), "dev", "ideal", "json", 4, 1),
+     "expected a DeviceModel, got str"),
+    (lambda: parse(None), "expected a str, got NoneType"),
+    (lambda: parse(5), "expected a str, got int"),
+    (lambda: parse([]), "expected a str, got list"),
 ], ids=["format", "validate", "validate-device", "retarget", "retarget-device", "run",
-        "run-device"])
+        "run-device", "run-ideal-device", "simulate-csv-device", "simulate-json-device",
+        "parse-none", "parse-int", "parse-list"])
 def test_an_argument_of_the_wrong_class_is_a_type_error(call, message):
-    # refused before any attribute is read; run goes through check and validate
+    # refused before any attribute is read; run and simulate_text go through check
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
 

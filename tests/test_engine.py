@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.circuit import (Circuit, Cnot, DeviceModel, Gate1, MeasureZ, QubitNoise,
-                          default_device, parse)
+from qsim.circuit import (PROCESSORS, Circuit, Cnot, DeviceModel, Gate1, MeasureZ,
+                          QubitNoise, default_device, parse)
 from qsim import engine, states
-from qsim.engine import PROCESSORS, run
+from qsim.engine import run
 from qsim.errors import CapacityError, ValidationError
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import probabilities

@@ -1,13 +1,18 @@
-"""The public namespace, and the modules each CLI process loads."""
+"""The public namespace, the modules each CLI process loads, the names each
+module imports, and the public callables' refusal of bad arguments."""
 
+import ast
 import functools
+import inspect
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qsim
@@ -150,3 +155,121 @@ def test_simulate_loads_no_protocols(tmp_path):
     assert {"numpy", "qsim.engine", "qsim.measure"} <= modules
     assert "qsim.protocols" not in modules
     assert "encodings.utf_8_sig" not in modules
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The names a module's import statements bind, `from __future__` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, in code or in an unquoted annotation (so a
+    name imported under TYPE_CHECKING for annotations counts)."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_imported_name_is_used():
+    # __init__.py is skipped: a package's __init__ may import a name only to export it
+    sources = sorted(Path(qsim.__file__).resolve().parent.glob("*.py"))
+    unused = {}
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if extra := _imported_names(tree) - _used_names(tree):
+            unused[path.name] = sorted(extra)
+    assert len(sources) >= 10
+    assert unused == {}
+
+
+# Each public callable with at most three required arguments gets each of these
+# values in each required argument in turn, with the other arguments valid.
+BAD_VALUES = [None, True, 2.0, -1, 10**30, "x", [], math.nan, np.int64(1), np.zeros(3),
+              object()]
+# The instruction IR and the result records take any field value, by design:
+# validate's contract covers only well-typed circuits. They are not swept.
+UNCHECKED_RECORDS = {"BlochMeasure", "Circuit", "Cnot", "Gate1", "Histogram", "MeasureZ",
+                     "QubitNoise"}
+SWEEP_CIRCUIT = "qubits 3\nh q0\ncx q0 q2\nmeasure q0\nmeasure q2\n"
+DEVICE_PATH = Path(qsim.__file__).resolve().parent / "devices" / "ibmqx-like.json"
+# valid required arguments of each swept callable, built fresh for each call
+# (apply_1q and apply_cnot change the state they are given)
+VALID_ARGUMENTS = {
+    "BellIndex": lambda: (0, 1),
+    "DensityMatrix": lambda: (np.ones((1, 1), dtype=complex),),
+    "GateKind": lambda: ("h",),
+    "KrausChannel": lambda: (qsim.amplitude_damping(0.1).ops,),
+    "NoiseConfig": lambda: (qsim.default_device(),),
+    "PureState": lambda: (np.array([1, 0], dtype=complex),),
+    "TeleportResult": lambda: ({}, None, []),
+    "Violation": lambda: (0, qsim.ViolationCode.NO_MEASUREMENT, "circuit has no measurement"),
+    "ViolationCode": lambda: ("NoMeasurement",),
+    "amplitude_damping": lambda: (0.1,),
+    "apply_1q": lambda: (qsim.zero_state(2), qsim.matrix_of(qsim.GateKind.H), 1),
+    "apply_cnot": lambda: (qsim.zero_state(2), 0, 1),
+    "bell_state": lambda: (qsim.BellIndex(0, 1),),
+    "bloch_measure": lambda: (qsim.zero_state(2), 1),
+    "correction_for": lambda: (qsim.BellIndex(0, 1), qsim.BellIndex(1, 0)),
+    "decoherence_sweep": lambda: (0, 3),
+    "dephasing": lambda: (0.1,),
+    "format_circuit": lambda: (qsim.parse(SWEEP_CIRCUIT),),
+    "histogram_json_fields": lambda: ({"0": 1.0},),
+    "is_separable": lambda: (qsim.zero_state(2),),
+    "load_device": lambda: (str(DEVICE_PATH),),
+    "matrix_of": lambda: (qsim.GateKind.H,),
+    "parse": lambda: (SWEEP_CIRCUIT,),
+    "probabilities": lambda: (qsim.zero_state(2), [1]),
+    "reduced_density_1q": lambda: (qsim.zero_state(2), 1),
+    "retarget_cnots": lambda: (qsim.parse(SWEEP_CIRCUIT), qsim.default_device()),
+    "run": lambda: (qsim.parse(SWEEP_CIRCUIT),),
+    "run_teleport": lambda: ((qsim.GateKind.X,),),
+    "teleport_algebraic": lambda: (qsim.PureState.from_amplitudes([0, 1]),
+                                   qsim.BellIndex(0, 1), qsim.BellIndex(1, 0)),
+    "validate": lambda: (qsim.parse(SWEEP_CIRCUIT),),
+    "zero_density": lambda: (2,),
+    "zero_state": lambda: (2,),
+}
+
+
+def _required_arguments(value) -> int:
+    parameters = inspect.signature(value).parameters.values()
+    return sum(p.default is p.empty and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+               for p in parameters)
+
+
+def test_every_public_callable_refuses_a_bad_argument_with_a_typed_error(tmp_path,
+                                                                         monkeypatch):
+    # each call returns or raises one of the refusals; a MemoryError or a hang
+    # would mean that 10**30 reached an allocation or a loop before the check
+    # that bounds it. load_device's "x" names a missing file.
+    swept = {name for name in qsim.__all__
+             if name not in UNCHECKED_RECORDS and callable(value := getattr(qsim, name))
+             and not (isinstance(value, type) and issubclass(value, BaseException))
+             and 1 <= _required_arguments(value) <= 3}
+    assert swept == set(VALID_ARGUMENTS)
+    monkeypatch.chdir(tmp_path)
+    escapes = []
+    for name, valid in sorted(VALID_ARGUMENTS.items()):
+        call = getattr(qsim, name)
+        refusals = (qsim.QsimError, ValueError, TypeError)
+        if name == "load_device":
+            refusals += (OSError,)
+        call(*valid())
+        for slot in range(_required_arguments(call)):
+            for bad in BAD_VALUES:
+                args = list(valid())
+                args[slot] = bad
+                try:
+                    call(*args)
+                except refusals:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - each escape is reported
+                    escapes.append(f"{name} argument {slot} = {bad!r}: "
+                                   f"{type(exc).__name__}: {exc}")
+    assert escapes == []

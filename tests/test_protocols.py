@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.circuit import (Circuit, DeviceModel, Gate1, MeasureZ, QubitNoise, default_device, parse,
-                          validate)
+from qsim.circuit import (PROCESSORS, Circuit, DeviceModel, Gate1, MeasureZ, QubitNoise,
+                          default_device, parse, validate)
 from qsim.cli import simulate_text, sweep_text
-from qsim.engine import PROCESSORS, run
+from qsim.engine import run
 from qsim.errors import ValidationError
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import probabilities, sample
