@@ -13,13 +13,14 @@ before any circuit. Output is byte-deterministic given inputs and seed.
 Circuit and device files are read by `circuit.read_utf8`: UTF-8, a
 leading byte-order mark skipped. A device file whose content is refused,
 and a circuit file that is not UTF-8, print one `error: <path>: <reason>`
-line and exit 2. This module alone writes what the CLI prints:
-`simulate_text`, `teleport_text` and `sweep_text` return the exact bytes
-of their subcommand's artifact, which its `cmd_*` handler emits (`--plot`
-charts the rows of `sweep_text`'s CSV), and `histogram_json_fields` is
-the JSON histogram schema. The simulate csv format is the histogram
-only: `bloch` markers are not refused there, and their vectors are left
-out.
+line and exit 2. This module alone writes what the CLI prints, all of
+it from `_run`: each `cmd_*` handler returns its subcommand's stdout
+text (`simulate_text`, `teleport_text` and `sweep_text` return their
+artifact's exact bytes), and `_run` writes it to stdout or `-o`, then
+`--plot`'s chart of the sweep CSV on stderr, or else a refusal's report
+or error line. `histogram_json_fields` is the JSON histogram schema. The
+simulate csv format is the histogram only: `bloch` markers are not
+refused there, and their vectors are left out.
 
 Each subcommand imports only what it runs: argument handling, `validate`
 and the parse step of every subcommand need `circuit`, `gates` and
@@ -55,6 +56,7 @@ from .circuit import (
     PROCESSORS,
     Circuit,
     DeviceModel,
+    _expect,
     check,
     default_device,
     load_device,
@@ -87,13 +89,6 @@ def _resolve_device(path: Path | None) -> DeviceModel:
             return load_device(env)
         return default_device()
     return load_device(path)
-
-
-def _emit(text: str, output: Path | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        output.write_text(text, encoding="utf-8")
 
 
 def _violation_report(circuit: Circuit, violations) -> str:
@@ -164,13 +159,12 @@ def _read_circuit(path: Path) -> Circuit:
     return parse(text, name=path.stem)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> str:
     circuit = _read_circuit(args.circuit)
     violations = validate(circuit, args.device)
     if violations:
         raise ValidationError(violations, circuit)
-    sys.stdout.write(f"{args.circuit}: ok on device '{args.device.name}'\n")
-    return 0
+    return f"{args.circuit}: ok on device '{args.device.name}'\n"
 
 
 def simulate_text(circuit: Circuit, device: DeviceModel, processor: str, fmt: str,
@@ -183,6 +177,7 @@ def simulate_text(circuit: Circuit, device: DeviceModel, processor: str, fmt: st
     a circuit with neither `measure` nor `bloch` included, raises
     ValidationError with all of them before the engine is imported.
     """
+    _expect(device, DeviceModel)
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     measured = circuit.measured_qubits()
@@ -223,11 +218,9 @@ def simulate_text(circuit: Circuit, device: DeviceModel, processor: str, fmt: st
     return "".join(parts)
 
 
-def cmd_simulate(args) -> int:
-    circuit = _read_circuit(args.circuit)
-    _emit(simulate_text(circuit, args.device, args.processor, args.fmt,
-                        args.shots, args.seed), args.output)
-    return 0
+def cmd_simulate(args) -> str:
+    return simulate_text(_read_circuit(args.circuit), args.device, args.processor, args.fmt,
+                         args.shots, args.seed)
 
 
 _PREPS = {"one": (GateKind.X,), "plus": (GateKind.H,)}
@@ -240,6 +233,7 @@ def teleport_text(state: str, device: DeviceModel, processor: str, fmt: str,
     `state` is a key of _PREPS (the state loaded on wire 0) and `fmt` one
     of TELEPORT_FORMATS; `shots` and `seed` are as in `simulate_text`.
     """
+    _expect(device, DeviceModel)
     if state not in tuple(_PREPS):
         raise ValueError(f"state must be one of {', '.join(_PREPS)}, got {state!r}")
     if fmt not in TELEPORT_FORMATS:
@@ -275,16 +269,16 @@ def teleport_text(state: str, device: DeviceModel, processor: str, fmt: str,
     return "".join(lines)
 
 
-def cmd_teleport(args) -> int:
-    _emit(teleport_text(args.state, args.device, args.processor, args.fmt,
-                        args.shots, args.seed), args.output)
-    return 0
+def cmd_teleport(args) -> str:
+    return teleport_text(args.state, args.device, args.processor, args.fmt,
+                         args.shots, args.seed)
 
 
 def sweep_text(qubit: int, n_max: int, device: DeviceModel, processor: str,
                shots: int | None, seed: int) -> str:
     """The `qsim sweep` CSV, byte for byte: a `n,t_seconds,p0,p1` row per
     point of `decoherence_sweep`, with t_seconds = n * gate_time_tau_s."""
+    _expect(device, DeviceModel)
     from .protocols import decoherence_sweep
 
     tau = device.gate_time_tau_s
@@ -293,16 +287,9 @@ def sweep_text(qubit: int, n_max: int, device: DeviceModel, processor: str,
     return "\n".join(["n,t_seconds,p0,p1", *rows]) + "\n"
 
 
-def cmd_sweep(args) -> int:
-    text = sweep_text(args.qubit, args.n_max, args.device, args.processor,
+def cmd_sweep(args) -> str:
+    return sweep_text(args.qubit, args.n_max, args.device, args.processor,
                       args.shots, args.seed)
-    _emit(text, args.output)
-    if args.plot:  # repr round-trips, so the CSV's p0 is the sweep's float
-        points = [row.split(",") for row in text.splitlines()[1:]]
-        rows = [(f"n={n:>4}", f"p0={float(p0):8.6f}", float(p0)) for n, _, p0, _ in points]
-        sys.stderr.write(f"p0 vs n, qubit {args.qubit}, {args.processor} processor\n")
-        sys.stderr.write(_ascii_bars(rows))
-    return 0
 
 
 def _add_run_options(sub, default_processor: str) -> None:
@@ -383,20 +370,28 @@ def main(argv=None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) < 0:  # simulate, teleport and sweep
-        sys.stderr.write("error: --seed must be >= 0\n")
-        return 2
-    if getattr(args, "shots", 1) < 1:  # checked even with --probabilities
-        sys.stderr.write("error: --shots must be >= 1\n")
-        return 2
-    if getattr(args, "n_max", 0) > MAX_SWEEP_POINTS:
-        sys.stderr.write(f"error: --n-max is capped at {MAX_SWEEP_POINTS}\n")
-        return 2
-    if getattr(args, "probabilities", False):
-        args.shots = None  # exact mode: no handler reads --probabilities
     try:
+        if getattr(args, "seed", 0) < 0:  # simulate, teleport and sweep
+            raise ValueError("--seed must be >= 0")
+        if getattr(args, "shots", 1) < 1:  # checked even with --probabilities
+            raise ValueError("--shots must be >= 1")
+        if getattr(args, "n_max", 0) > MAX_SWEEP_POINTS:
+            raise ValueError(f"--n-max is capped at {MAX_SWEEP_POINTS}")
+        if getattr(args, "probabilities", False):
+            args.shots = None  # exact mode: no handler reads --probabilities
         args.device = _resolve_device(args.device)  # the handlers read the model
-        return args.func(args)
+        text = args.func(args)
+        output = getattr(args, "output", None)  # validate has no -o
+        if output is None:
+            sys.stdout.write(text)
+        else:
+            output.write_text(text, encoding="utf-8")
+        if getattr(args, "plot", False):  # repr round-trips, so the CSV's p0 is the sweep's float
+            points = [row.split(",") for row in text.splitlines()[1:]]
+            rows = [(f"n={n:>4}", f"p0={float(p0):8.6f}", float(p0)) for n, _, p0, _ in points]
+            sys.stderr.write(f"p0 vs n, qubit {args.qubit}, {args.processor} processor\n"
+                             + _ascii_bars(rows))
+        return 0
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import qsim
 from qsim import circuit as circuit_module
 from qsim.circuit import (
+    PROCESSORS,
     BlochMeasure,
     Circuit,
     Cnot,
@@ -32,7 +33,7 @@ from qsim.circuit import (
     retarget_cnots,
     validate,
 )
-from qsim.cli import simulate_text
+from qsim.cli import FORMATS, TELEPORT_FORMATS, simulate_text, sweep_text, teleport_text
 from qsim.engine import run
 from qsim.errors import DeviceError, ParseError, UntranspilableError, ValidationError
 from qsim.gates import GateKind
@@ -277,9 +278,19 @@ class TestEquality:
     (lambda: parse(None), "expected a str, got NoneType"),
     (lambda: parse(5), "expected a str, got int"),
     (lambda: parse([]), "expected a str, got list"),
+    # a missing device is refused before any text function reads it
+    *[(lambda p=p, f=f: simulate_text(parse(TELEPORT_TEXT), None, p, f, 4, 1),
+       "expected a DeviceModel, got NoneType") for p in PROCESSORS for f in FORMATS],
+    *[(lambda p=p, f=f: teleport_text("one", None, p, f, 4, 1),
+       "expected a DeviceModel, got NoneType") for p in PROCESSORS for f in TELEPORT_FORMATS],
+    *[(lambda p=p: sweep_text(3, 2, None, p, None, 0), "expected a DeviceModel, got NoneType")
+      for p in PROCESSORS],
 ], ids=["format", "validate", "validate-device", "retarget", "retarget-device", "run",
         "run-device", "run-ideal-device", "simulate-csv-device", "simulate-json-device",
-        "parse-none", "parse-int", "parse-list"])
+        "parse-none", "parse-int", "parse-list",
+        *[f"simulate-{p}-{f}-no-device" for p in PROCESSORS for f in FORMATS],
+        *[f"teleport-{p}-{f}-no-device" for p in PROCESSORS for f in TELEPORT_FORMATS],
+        *[f"sweep-{p}-no-device" for p in PROCESSORS]])
 def test_an_argument_of_the_wrong_class_is_a_type_error(call, message):
     # refused before any attribute is read; run and simulate_text go through check
     with pytest.raises(TypeError, match=f"^{message}$"):

@@ -255,12 +255,17 @@ class TestSweep:
             "n=   4  p0=0.550000  " + "#" * 56,
         ]),
     ], ids=["exact", "sampled"])
-    def test_plot_bytes(self, sampling, chart, monkeypatch, capsys):
+    def test_plot_bytes(self, sampling, chart, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("QSIM_DEVICE", raising=False)
-        assert main(["sweep", "--qubit", "3", "--n-max", "4", *sampling, "--plot"]) == 0
+        argv = ["sweep", "--qubit", "3", "--n-max", "4", *sampling, "--plot"]
+        assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == "\n".join(["p0 vs n, qubit 3, real processor", *chart]) + "\n"
         assert captured.out.startswith("n,t_seconds,p0,p1\n")
+        # with -o the file holds the CSV and stderr the same chart
+        assert main([*argv, "-o", str(tmp_path / "sweep.csv")]) == 0
+        assert capsys.readouterr() == ("", captured.err)
+        assert (tmp_path / "sweep.csv").read_bytes() == captured.out.encode()
 
     def test_qubit_off_device_is_usage_error(self, capsys):
         # an off-device wire is a validator finding (exit 1), as in `validate`

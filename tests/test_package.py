@@ -146,6 +146,32 @@ def test_no_module_imports_dataclasses():
     assert [p.name for p in sources if imports.search(p.read_text(encoding="utf-8"))] == []
 
 
+def _writes(tree: ast.Module) -> list[str]:
+    """The top-level function (or "<module>") around each call in `tree` that
+    writes output: sys.stdout.write, sys.stderr.write, print or .write_text."""
+    found = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "print"
+                    or isinstance(f, ast.Attribute) and f.attr == "write_text"
+                    or isinstance(f, ast.Attribute) and f.attr == "write"
+                    and ast.unparse(f.value) in ("sys.stdout", "sys.stderr")):
+                found.append(where)
+    return found
+
+
+def test_cli_run_is_the_only_writer():
+    sources = sorted(Path(qsim.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) >= 10
+    writers = {(p.stem, where) for p in sources
+               for where in _writes(ast.parse(p.read_text(encoding="utf-8")))}
+    assert writers == {("cli", "_run")}
+
+
 def test_simulate_loads_no_protocols(tmp_path):
     path = tmp_path / "c.qc"
     path.write_text(ACCEPTED)

@@ -1,6 +1,7 @@
 """Bell states, both teleportation routes, and the idle-decay sweep."""
 
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from qsim.cli import simulate_text, sweep_text
 from qsim.engine import run
 from qsim.errors import ValidationError
 from qsim.gates import GateKind, matrix_of
-from qsim.measure import probabilities, sample
+from qsim.measure import _PROB_FLOOR, probabilities, sample
 from qsim.protocols import (
     BellIndex,
     bell_state,
@@ -275,6 +276,22 @@ class TestDecoherenceSweep:
         for n, p0, p1 in res:
             assert p0 == pytest.approx(1 - (1 - gamma) ** (n + 1) / 2, abs=1e-12)
             assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", [Fraction(1, 2), Fraction(3, 4)])
+    @pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 8), Fraction(1, 4)])
+    def test_dyadic_rates_decay_exactly(self, gamma, lam):
+        """A power-of-two keep factor 1 - gamma makes every slot exact, so each
+        point is the float of its exact value: p1 = (1 - gamma)^(n+1) / 2, read
+        as 0.0 below measure's probability floor, and p0 = 1 - p1."""
+        device = DeviceModel("dyadic", 4, frozenset(), PACKAGED.gate_time_tau_s,
+                             (QubitNoise(float(gamma), float(lam)),) * 4)
+        for qubit in range(4):
+            points = decoherence_sweep(qubit, 200, "real", device)
+            assert len(points) == 201
+            for n, p0, p1 in points:
+                exact = (1 - gamma) ** (n + 1) / 2
+                assert p1 == (float(exact) if exact >= _PROB_FLOOR else 0.0)
+                assert p0 == float(1 - exact)
 
     def test_p0_strictly_increases_without_dephasing(self):
         res = decoherence_sweep(1, 30, processor="real", shots=None)
