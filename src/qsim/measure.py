@@ -64,7 +64,8 @@ def marginal(state, measured: Sequence[int]) -> np.ndarray:
     The one place that validates a measured-wire list, clips negative
     populations and refuses a state with non-finite weight or with no
     weight on the measured wires; sums |amp|^2 or the real diagonal over
-    unmeasured wires.
+    unmeasured wires, one wire at a time, so no SIMD kernel regroups the
+    sums and the bytes do not depend on the CPU numpy dispatches to.
     """
     buf, _, copies = _register(state)
     for q in measured:
@@ -75,12 +76,14 @@ def marginal(state, measured: Sequence[int]) -> np.ndarray:
         raise ValueError("measured qubit list has duplicates")
     n = state.num_qubits
     if len(copies) == 1:  # psi: one gate copy
-        weights = np.abs(buf) ** 2
+        weights = buf.real * buf.real + buf.imag * buf.imag
     else:  # rho's diagonal, every (2^n + 1)-th entry of its buffer
-        weights = np.real(buf[::(1 << n) + 1]).copy()
-        np.clip(weights, 0.0, None, out=weights)
-    drop = tuple(q for q in range(n) if q not in measured)
-    flat = weights.reshape((2,) * n).sum(axis=drop).reshape(-1)
+        weights = np.clip(np.real(buf[::(1 << n) + 1]), 0.0, None)
+    weights = weights.reshape((2,) * n)
+    for q in reversed(range(n)):  # highest first, by elementwise adds: the same bytes on any CPU
+        if q not in measured:
+            weights = weights.take(0, axis=q) + weights.take(1, axis=q)
+    flat = weights.reshape(-1)
     if not np.isfinite(flat).all():  # an inf or NaN weight reaches its sum
         raise ValueError(f"state has non-finite weight on qubits {list(measured)}")
     if not flat.max() >= _PROB_FLOOR:

@@ -24,7 +24,7 @@ from .errors import ValidationError
 from .gates import _SQRT1_2, GateKind, matrix_of
 from .measure import Histogram, probabilities, sample
 from .noise import NoiseConfig, decohere
-from .states import PureState
+from .states import DensityMatrix, PureState, check_capacity
 
 
 class BellIndex(NamedTuple):
@@ -216,17 +216,19 @@ def decoherence_sweep(
 
     Point n is the readout of [h q; id x n; measure q] on wires 0..q: Hadamard puts the
     wire at the equator, the identity line holds it there for n gate slots, and the
-    readout records how far the population has drifted back toward |0>. The slot
-    commutes with `id`, so engine.run applies all n + 1 slots of that circuit at its
-    end; here `h` runs once and each point applies them to a copy, so a sweep costs
-    O(n_max). Only the probe wire is charged: wires 0..q-1 stay |0><0|, the slot's fixed
-    point. On the ideal engine every exact point has p0 = p1 = 0.4999999999999999, the
-    gate table's rounded 1/√2 squared; on the real engine p0 climbs toward 1 at the
-    wire's relaxation rate.
+    readout records how far the population has drifted back toward |0>. That probe is
+    validated, but only its wire q is evolved: wires 0..q-1 stay |0><0|, the slot's
+    fixed point, and add exact zeros to the readout. The slot commutes with `id`, so
+    engine.run applies all n + 1 slots at the circuit's end; here `h` runs once on one
+    wire and each point applies the slots, at the rates device.qubits[q], to a copy of
+    that 2x2 state, so a sweep costs O(n_max) on any wire. On the ideal engine every
+    exact point has p0 = p1 = 0.4999999999999999, the gate table's rounded 1/√2
+    squared; on the real engine p0 climbs toward 1 at the wire's relaxation rate.
 
     shots=None records exact probabilities; otherwise each point is
     sampled with its own derived seed (seed XOR n). On either processor
-    the probe must pass validate() on the device, else ValidationError.
+    the probe must pass validate() on the device, else ValidationError,
+    and fit the processor's engine, else CapacityError.
     """
     if not _is_int(qubit) or qubit < 0:
         raise ValueError(f"qubit must be an integer >= 0, got {qubit!r}")
@@ -237,27 +239,25 @@ def decoherence_sweep(
     if device is None:
         device = default_device()
 
-    wires = qubit + 1
-    probe = Circuit(wires, [Gate1(GateKind.H, qubit), MeasureZ(qubit)])
+    probe = Circuit(qubit + 1, [Gate1(GateKind.H, qubit), MeasureZ(qubit)])
     findings = validate(probe, device)  # the device's rules, on either processor
     if findings:
         raise ValidationError(findings, probe)
     if processor not in PROCESSORS:
         raise ValueError(f"processor must be one of {PROCESSORS}, got {processor!r}")
-    equator = _evolve(probe, processor, device, NoiseConfig(device, enabled=False))
-    # the probe wire's rates only: the slot leaves the |0><0| wires as they are
-    rates = NoiseConfig(device).slot(wires).get(qubit) if processor == "real" else None
+    real = processor == "real"
+    check_capacity(DensityMatrix if real else PureState, probe.num_qubits)
+    equator = _evolve(Circuit(1, [Gate1(GateKind.H, 0)]), processor, device,
+                      NoiseConfig(device, enabled=False))
     points = []
     for n in range(n_max + 1):
-        state = equator.copy()
-        if rates:
-            decohere(state, qubit, *rates, slots=n + 1)
+        state = decohere(equator.copy(), 0, *device.qubits[qubit], slots=n + 1) if real else equator
         if shots is None:
-            probs = probabilities(state, [qubit])
+            probs = probabilities(state, [0])
             p0 = probs.get("0", 0.0)
             p1 = probs.get("1", 0.0)
         else:
-            hist = sample(state, [qubit], shots, seed ^ n)
+            hist = sample(state, [0], shots, seed ^ n)
             p0 = hist.counts.get("0", 0) / shots
             p1 = hist.counts.get("1", 0) / shots
         points.append((n, p0, p1))

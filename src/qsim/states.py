@@ -81,7 +81,7 @@ class PureState:
         state = cls(amps)
         check_capacity(cls, state.num_qubits)
         norm = state.norm()
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # a NaN norm is refused too
             raise ValueError(f"amplitudes are not normalized (norm {norm})")
         return state
 

@@ -1,7 +1,14 @@
 """Born probabilities, shot sampling, and Bloch tomography."""
 
+import importlib
+import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsim
 from qsim.engine import run
 from qsim.circuit import parse
 from qsim.cli import histogram_json_fields
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import (
+    _PROB_FLOOR,
     RNG_ALGORITHM,
     Histogram,
     _bit_keys,
@@ -151,6 +160,13 @@ class TestProbabilities:
             for size in (16385, 65536):
                 indices = rng.integers(0, 1 << width, size)
                 assert _bit_keys(indices, width) == [format(i, f"0{width}b") for i in indices]
+
+    def test_a_weight_at_the_floor_is_kept(self):
+        # the floor is inclusive in marginal's refusal, in the map and in bloch_measure's refusal
+        at_floor = DensityMatrix(np.diag([1e-15, 0.0]))
+        assert _PROB_FLOOR == 1e-15
+        assert probabilities(at_floor, [0]) == {"0": 1e-15}
+        assert bloch_measure(at_floor, 0).z == 1e-15
 
     def test_key_order_is_ascending_qubit_index(self):
         # |01>: q0=0, q1=1 -> key "01" regardless of the order passed in
@@ -343,6 +359,7 @@ class TestBlochMeasure:
         b = bloch_measure(bell_state_2q(), 0)
         assert b.purity_norm <= 1e-9
         assert (b.x, b.y, b.z) == pytest.approx((0, 0, 0), abs=1e-9)
+        assert b.theta == 0.0 and b.phi == 0.0  # the maximally mixed point's promised angles
 
     def test_pure_states_live_on_the_sphere(self):
         rng = np.random.default_rng(56)
@@ -371,3 +388,70 @@ class TestBlochMeasure:
     def test_works_through_the_engine(self):
         state = run(parse("qubits 2\nh q0\nbloch q0\nmeasure q1\n"))
         assert bloch_measure(state, 0).x == pytest.approx(1.0, abs=1e-9)
+
+
+def _dispatched_features():
+    """The SIMD features numpy picks kernels by at run time and this CPU
+    has, or None when numpy exposes no dispatch list."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            with warnings.catch_warnings():  # numpy 2 deprecates numpy.core
+                warnings.simplefilter("ignore", DeprecationWarning)
+                module = importlib.import_module(name)
+        except ImportError:
+            continue
+        dispatch = getattr(module, "__cpu_dispatch__", None)
+        if dispatch is not None:
+            has = getattr(module, "__cpu_features__", {})
+            return [f for f in dispatch if has.get(f)]
+    return None
+
+
+def _marginal_digest(path) -> str:
+    """SHA-256 over the marginal bytes and probability maps of the saved
+    states, each read on several measured-wire lists. It imports what it
+    uses, so a fresh interpreter can run its source."""
+    import hashlib
+
+    import numpy as np
+
+    from qsim.measure import marginal, probabilities
+    from qsim.states import DensityMatrix, PureState
+
+    digest = hashlib.sha256()
+    with np.load(path) as saved:
+        for name in sorted(saved.files):
+            buf = saved[name]
+            state = PureState(buf) if buf.ndim == 1 else DensityMatrix(buf)
+            n = state.num_qubits
+            for measured in ([0], [n - 1], [n // 2], [0, 3, n - 2], list(range(0, n, 3)),
+                             list(range(n // 2, n)), list(range(n))):
+                digest.update(marginal(state, measured).tobytes())
+                digest.update(repr(probabilities(state, measured)).encode())
+    return digest.hexdigest()
+
+
+def test_marginal_bytes_do_not_depend_on_numpy_dispatch(tmp_path):
+    """marginal and probabilities give the same bytes on numpy's baseline
+    kernels as in this process: the digest here equals the one from a
+    process with NPY_DISABLE_CPU_FEATURES set to every dispatched feature
+    this CPU has. On a CPU with none of them, or with them already
+    disabled here, both sides run the baseline kernels and the test
+    passes trivially."""
+    features = _dispatched_features()
+    if features is None:
+        pytest.skip("numpy exposes no __cpu_dispatch__ list, so its kernels cannot be switched")
+    rng = np.random.default_rng(12)
+    states = {f"psi{n}": random_pure_vec(rng, n) for n in (10, 13, 16)}
+    states["rho10"] = random_density_mat(rng, 10)
+    path = tmp_path / "states.npz"
+    np.savez(path, **states)
+    code = f"{inspect.getsource(_marginal_digest)}\nimport sys\nprint(_marginal_digest(sys.argv[1]))"
+    env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(features)
+    src = str(Path(qsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == _marginal_digest(path)

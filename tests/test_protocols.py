@@ -13,7 +13,7 @@ from qsim.circuit import (PROCESSORS, Circuit, DeviceModel, Gate1, MeasureZ, Qub
                           default_device, parse, validate)
 from qsim.cli import simulate_text, sweep_text
 from qsim.engine import run
-from qsim.errors import ValidationError
+from qsim.errors import CapacityError, ValidationError
 from qsim.gates import GateKind, matrix_of
 from qsim.measure import _PROB_FLOOR, probabilities, sample
 from qsim.protocols import (
@@ -292,6 +292,46 @@ class TestDecoherenceSweep:
                 exact = (1 - gamma) ** (n + 1) / 2
                 assert p1 == (float(exact) if exact >= _PROB_FLOOR else 0.0)
                 assert p0 == float(1 - exact)
+
+    def test_only_the_probe_wire_is_evolved(self, monkeypatch):
+        """Every decohere call of a real sweep gets the one-wire equator at
+        buffer position 0, whichever wire is probed; the ideal sweep calls none."""
+        import qsim.protocols
+
+        calls = []
+        decohere = qsim.protocols.decohere
+
+        def spy(rho, q, *args, **kwargs):
+            calls.append((type(rho), rho.num_qubits, q))
+            return decohere(rho, q, *args, **kwargs)
+
+        monkeypatch.setattr(qsim.protocols, "decohere", spy)
+        for qubit in range(PACKAGED.num_qubits):
+            calls.clear()
+            decoherence_sweep(qubit, 5, "real", DEPHASING)
+            assert calls == [(DensityMatrix, 1, 0)] * 6
+        calls.clear()
+        decoherence_sweep(4, 5, "ideal", DEPHASING)
+        assert calls == []
+
+    @pytest.mark.parametrize("shots", [None, 1000])
+    def test_the_top_wire_of_ten_gives_the_rows_of_independent_runs(self, shots):
+        # a register the density engine holds at its cap, probed on its last wire
+        device = DeviceModel("ten", 10, frozenset(), PACKAGED.gate_time_tau_s,
+                             tuple(QubitNoise(0.01 * (k + 1), 0.02 * k) for k in range(10)))
+        for processor in PROCESSORS:
+            test_sweep_rows_equal_independent_runs.hypothesis.inner_test(
+                processor, 9, 3, shots, 7, device)
+
+    def test_the_probe_must_fit_the_engine(self):
+        # the probe spans wires 0..q, so a wire past an engine's cap is refused as run refuses it
+        wide = DeviceModel("wide", 17, frozenset(), PACKAGED.gate_time_tau_s,
+                           (QubitNoise(0.01, 0.0),) * 17)
+        with pytest.raises(CapacityError, match=r"^density engine supports 1\.\.10 qubits, got 11$"):
+            decoherence_sweep(10, 3, "real", wide)
+        with pytest.raises(CapacityError, match=r"^statevector engine supports 1\.\.16 qubits, got 17$"):
+            decoherence_sweep(16, 3, "ideal", wide)
+        assert len(decoherence_sweep(9, 3, "real", wide)) == len(decoherence_sweep(15, 3, "ideal", wide))
 
     def test_p0_strictly_increases_without_dephasing(self):
         res = decoherence_sweep(1, 30, processor="real", shots=None)

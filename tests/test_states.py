@@ -17,6 +17,7 @@ from qsim.protocols import BellIndex, teleport_algebraic
 from qsim.states import (
     DensityMatrix,
     PureState,
+    _apply_1q,
     apply_1q,
     apply_cnot,
     embed,
@@ -124,6 +125,9 @@ class TestConstruction:
     def test_from_amplitudes_checks_norm(self):
         with pytest.raises(ValueError, match="not normalized"):
             PureState.from_amplitudes([1.0, 1.0])
+        for nan_amps in ([np.nan, 0.0], [np.nan, np.nan]):  # a NaN norm is not within 1e-8 of 1
+            with pytest.raises(ValueError, match=r"not normalized \(norm nan\)"):
+                PureState.from_amplitudes(nan_amps)
         # the size rule of PureState, then the capacity rule of every register
         for length in (3, 6):
             with pytest.raises(ValueError, match=r"buffer of shape \(.*\) is not \(2\^n,\) \* 1"):
@@ -303,6 +307,30 @@ def test_every_kernel_matches_the_dense_oracle_on_every_wire(data):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         if shape == "identity":
             assert np.array_equal(got, start)  # id leaves the buffer alone
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_the_engine_shapes_match_the_dense_oracle_through_the_unchecked_kernel(data):
+    # The four shapes engine.run passes `_apply_1q`, in the form it passes
+    # them: rows of Python numbers, the fixed entries as ints. C7 drives the
+    # public apply_1q with the gate table's matrices, where h and y take the
+    # dense formula, so this is the engine kernels' own check against lift_1q.
+    density = data.draw(st.booleans(), label="density")
+    n = data.draw(st.integers(1, 5 if density else 8), label="n")
+    q = data.draw(st.integers(0, n - 1), label="wire")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    d, c, x = (complex(*rng.normal(size=2)) for _ in range(3))
+    start = random_density_mat(rng, n) if density else random_pure_vec(rng, n)
+    for m in (((1, 0), (0, d)), ((0, 1), (c, 0)), ((1, 1), (1, -1)), ((1, x), (1, -x))):
+        big = lift_1q(np.array(m, dtype=complex), n, q)
+        if density:
+            got = _apply_1q(DensityMatrix(start.copy()), m, q).mat
+            expected = big @ start @ big.conj().T
+        else:
+            got = _apply_1q(PureState(start.copy()), m, q).amps
+            expected = big @ start
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 class TestApplyCnot:
